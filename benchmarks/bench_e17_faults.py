@@ -17,8 +17,8 @@ measurements, two acceptance criteria:
 * **recovery** — a durable 2-shard cluster records a keyed workload,
   is killed (handles abandoned, locks left behind), and every session
   is resumed from its journal+snapshot the way a restarted shard would
-  (:meth:`Webhouse.resume` — the same path ``_revive_engine`` and
-  cluster restart take).  Reported as a per-session recovery-time
+  (:meth:`Webhouse.resume` — the same path a shard host's engine
+  rebuild and a cluster restart take).  Reported as a per-session recovery-time
   distribution plus the full-fleet restart wall time.  Criterion:
   every session recovers with its acknowledged history intact.
 

@@ -1,0 +1,280 @@
+"""One shard's engines, and the only implementation of every shard op.
+
+Theorem 3.5 makes a session's knowledge a pure function of its own
+query/answer history, so a shard is a closed world: one
+:class:`~repro.mediator.webhouse.Webhouse` per session key plus, when
+durable, the shard's ``SessionStore.shard(i)`` namespace.
+:class:`ShardHost` owns that world and is the single body of
+``record``, ``ask``, ``answer``, ``answer_all``, ``keys``, ``stats``
+and ``apply_remedy``.  It works on live paper objects and knows
+nothing of locks, retries or processes.
+
+:class:`~repro.cluster.sharded.ShardedWebhouse` reaches a host only
+through a transport's ``call(shard, op, args, deadline)``, and there
+are two:
+
+* :class:`LocalTransport` — in this process: a per-shard
+  :class:`~repro.cluster.locks.RWLock` around each host (reads share,
+  writes exclude) and no codec on the path;
+* :class:`~repro.cluster.proc.ProcWorkerPool` — over a pipe: one
+  worker process per shard runs the same host, with ``store.codec`` at
+  both ends.
+
+Because both run the same host, a shard does the same work whichever
+transport carries the call, and the certain answers cannot depend on
+the backend (``tests/test_proc.py``).
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+
+from ..core.query import PSQuery
+from ..core.tree import DataTree
+from ..core.treetype import TreeType
+from ..faults.inject import FaultInjected
+from ..faults.policies import Deadline
+from ..mediator.source import InMemorySource
+from ..mediator.webhouse import Webhouse
+from ..obs.state import STATE as _OBS
+from ..store.journal import JournalError
+from ..store.session import StoreError
+from .locks import RWLock
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..store.session import SessionStore
+
+#: Errors worth retrying and counting against a shard's breaker:
+#: injected faults and the store-layer failures they (or real disks)
+#: surface as.  A transport's own transient failures join through
+#: ``OSError`` (the pipe's dead-worker error is a ``ConnectionError``).
+#: Deliberate control decisions — admission shedding, validation — are
+#: excluded: retrying them would amplify load, not absorb a glitch.
+RETRYABLE_ERRORS = (FaultInjected, JournalError, StoreError, OSError)
+
+#: The latency families keyed operations are sketched under.
+SHARD_OPS = ("record", "ask", "answer")
+
+#: Every shard op -> (mutates the shard, latency family or ``None``).
+#: The in-process transport picks its lock side from the first field;
+#: a worker files its service time under the second.
+OPS: Dict[str, Tuple[bool, Optional[str]]] = {
+    "record": (True, "record"),
+    "ask": (True, "ask"),
+    "apply_remedy": (True, None),
+    "answer": (False, "answer"),
+    "answer_all": (False, "answer"),
+    "keys": (False, None),
+    "stats": (False, None),
+}
+
+
+class ShardHost:
+    """The engines of one shard and the ops over them (no locking)."""
+
+    def __init__(
+        self,
+        index: int,
+        alphabet: Iterable[str],
+        tree_type: Optional[TreeType] = None,
+        *,
+        auto_minimize: bool = False,
+        store: Optional["SessionStore"] = None,
+        factory: Optional[Callable[[], Webhouse]] = None,
+    ):
+        self.index = index
+        self.alphabet = sorted(set(alphabet))
+        self.tree_type = tree_type
+        self.auto_minimize = auto_minimize
+        self.store = store
+        self._factory = factory
+        #: session key -> its engine
+        self.engines: Dict[str, Webhouse] = {}
+        if store is not None:
+            for key in store.list_sessions():
+                self.engines[key] = self._resume(key)
+
+    # -- engines -----------------------------------------------------------------
+
+    def _resume(self, key: str) -> Webhouse:
+        engine = Webhouse.resume(self.store, key)
+        engine.prepare()
+        return engine
+
+    def _create(self, key: str) -> Webhouse:
+        engine = (
+            self._factory()
+            if self._factory is not None
+            else Webhouse(
+                self.alphabet,
+                tree_type=self.tree_type,
+                auto_minimize=self.auto_minimize,
+            )
+        )
+        if self.store is not None:
+            session = self.store.create(
+                key,
+                self.alphabet,
+                tree_type=self.tree_type,
+                auto_minimize=self.auto_minimize,
+            )
+            engine.attach(session)
+        self.engines[key] = engine
+        if _OBS.enabled:
+            _OBS.metrics.inc("cluster.sessions_created")
+            _OBS.metrics.set_gauge(f"shard.{self.index}.sessions", len(self.engines))
+        return engine
+
+    def _write(self, key: str, change: Callable[[Webhouse], object]) -> object:
+        """Run ``change`` on ``key``'s engine, creating it on first write.
+
+        A store failure mid-write can leave an engine's memory ahead of
+        its journal, or its journal handle closed.  Disk is then the
+        only trustworthy copy, so the engine is rebuilt by snapshot +
+        replay — the Theorem 3.5 path a restart takes — *before* the
+        error leaves the host, and the caller's retry sees the rebuilt
+        engine.  Without a store, memory is the state and stays.
+        """
+        try:
+            engine = self.engines.get(key)
+            if engine is None:
+                engine = self._create(key)
+            return change(engine)
+        except RETRYABLE_ERRORS:
+            if self.store is not None and self.store.exists(key):
+                # dropped first: a failed resume must not leave the
+                # wedged engine serving
+                self.engines.pop(key, None)
+                self.engines[key] = self._resume(key)
+                if _OBS.enabled:
+                    _OBS.metrics.inc("cluster.engine_revivals")
+            raise
+
+    def _books(self, engine: Webhouse) -> Dict[str, object]:
+        return {
+            "shard": self.index,
+            "knowledge_size": engine.size(),
+            "queries_recorded": len(engine.history),
+        }
+
+    # -- ops ----------------------------------------------------------------------
+
+    def record(self, key: str, query: PSQuery, answer: DataTree) -> None:
+        """Refine ``key``'s knowledge with one pair, exactly once."""
+
+        def change(engine: Webhouse) -> None:
+            history = engine.history
+            if history and history[-1] == (query, answer):
+                # a crashed attempt persisted the pair before failing;
+                # the retry is already done
+                return
+            engine.record(query, answer)
+            engine.prepare()
+
+        self._write(key, change)
+
+    def ask(self, key: str, source: InMemorySource, query: PSQuery) -> Dict[str, object]:
+        """Query the source for ``key``, fold the answer in; with books."""
+
+        def change(engine: Webhouse) -> Dict[str, object]:
+            answer = engine.ask(source, query)
+            engine.prepare()
+            return {"answer": answer, **self._books(engine)}
+
+        return self._write(key, change)
+
+    def answer(self, key: str, query: PSQuery) -> Dict[str, object]:
+        """``key``'s caveated certain answer plus its books.
+
+        An unknown key answers from zero knowledge — empty sure part,
+        ``may_have_more`` — *without* creating an engine, so probe
+        traffic cannot grow the pool.
+        """
+        engine = self.engines.get(key)
+        if engine is None:
+            return {
+                "sure": DataTree.empty(),
+                "may_have_more": True,
+                "shard": self.index,
+                "knowledge_size": 0,
+                "queries_recorded": 0,
+            }
+        sure, more = engine.answer_with_caveats(query)
+        return {"sure": sure, "may_have_more": more, **self._books(engine)}
+
+    def answer_all(self, query: PSQuery) -> List[Tuple[str, DataTree, bool]]:
+        """``(key, sure, may_have_more)`` for every session, key-sorted."""
+        return [
+            (key, *engine.answer_with_caveats(query))
+            for key, engine in sorted(self.engines.items())
+        ]
+
+    def keys(self) -> List[str]:
+        """The shard's session keys, sorted (cheap: no knowledge books)."""
+        return sorted(self.engines)
+
+    def stats(self) -> Dict[str, object]:
+        """Session count and keys plus history and knowledge totals."""
+        engines = self.engines.values()
+        return {
+            "shard": self.index,
+            "sessions": len(self.engines),
+            "session_keys": self.keys(),
+            "queries_recorded": sum(len(engine.history) for engine in engines),
+            "knowledge_size": sum(engine.size() for engine in engines),
+        }
+
+    def apply_remedy(self, remedy: str) -> None:
+        """Apply one of the paper's growth remedies to every session."""
+        for key in list(self.engines):
+            self._write(key, lambda engine: engine.apply_remedy(remedy))
+
+    def close(self) -> None:
+        """Detach every durable session (journals closed)."""
+        for engine in self.engines.values():
+            if engine.session is not None:
+                engine.detach()
+
+
+class LocalTransport:
+    """Shard hosts in this process, each behind its own RWLock."""
+
+    def __init__(self, hosts: List[ShardHost]):
+        self.hosts = hosts
+        self._locks = [RWLock() for _ in hosts]
+
+    def call(
+        self,
+        shard: int,
+        op: str,
+        args: Dict[str, object],
+        deadline: Optional[Deadline] = None,
+    ) -> object:
+        """Run ``op`` on shard's host: writes exclusive, reads shared."""
+        if deadline is not None:
+            deadline.require(f"shard {shard} {op}")
+        lock = self._locks[shard]
+        if OPS[op][0]:
+            with lock.write_locked():
+                return getattr(self.hosts[shard], op)(**args)
+        with lock.read_locked():
+            return getattr(self.hosts[shard], op)(**args)
+
+    def engines(self, shard: int) -> Dict[str, Webhouse]:
+        """A snapshot of shard's live engines (read lock)."""
+        with self._locks[shard].read_locked():
+            return dict(self.hosts[shard].engines)
+
+    def close(self) -> None:
+        for host, lock in zip(self.hosts, self._locks):
+            with lock.write_locked():
+                host.close()
+
+
+__all__ = [
+    "LocalTransport",
+    "OPS",
+    "RETRYABLE_ERRORS",
+    "SHARD_OPS",
+    "ShardHost",
+]

@@ -1,38 +1,41 @@
-"""Process-backed shard workers: the cluster's multi-core data plane.
+"""The pipe transport: one worker process per shard.
 
-The thread backend (:mod:`repro.cluster.sharded`) parallelizes shard
-work only as far as the GIL allows; this module gives each shard its
-own **worker process**, so per-shard Refine/answer work runs on real
-cores.  The paper makes the split safe: shards group whole sessions and
-never merge knowledge (Theorem 3.5), so a shard worker is a closed
-world — its engines, its durable ``SessionStore.shard(i)`` namespace,
-its journals — and certain-answer unions over shards stay monotone
-(Theorems 2.8/3.14) no matter where each shard evaluates.
+The in-process transport (:class:`~repro.cluster.host.LocalTransport`)
+runs every shard's :class:`~repro.cluster.host.ShardHost` under one
+GIL; this module gives each shard its own **worker process**, so
+per-shard Refine/answer work can run on real cores.  The paper makes
+the split safe: shards group whole sessions and never merge knowledge
+(Theorem 3.5), so a shard worker is a closed world — its engines, its
+durable ``SessionStore.shard(i)`` namespace, its journals — and
+certain-answer unions over shards stay monotone (Theorems 2.8/3.14) no
+matter where each shard evaluates.
 
 Topology: one :class:`ProcWorkerPool` owns N workers, each spawned with
 the stdlib ``multiprocessing`` **spawn** context (a fresh interpreter —
 no forked locks, deterministic imports) and connected by a duplex pipe.
 Every message on that pipe is a :mod:`repro.cluster.wire` frame:
-length-prefixed, CRC-checked canonical JSON.  The request envelope
-carries the caller's context across the hop — trace id, remaining
-deadline, and the armed fault-plan spec — so ``contextvars`` state
-survives where OS processes would drop it.
+length-prefixed, CRC-checked canonical JSON.  :meth:`ProcWorkerPool.call`
+is the transport surface: live args go out through ``store.codec``,
+the worker runs the *same* ``ShardHost`` op the in-process transport
+would, and the result comes back through ``store.codec``.  The request
+envelope carries the caller's context across the hop — trace id,
+remaining deadline, and the armed fault-plan spec — so ``contextvars``
+state survives where OS processes would drop it.
 
 Worker lifecycle:
 
-* **startup** — the worker builds its engines by resuming every
-  journaled session in its shard namespace (the same Theorem 3.5
-  snapshot+replay path a restart takes), then sends a hello frame;
+* **startup** — the worker's ``ShardHost`` resumes every journaled
+  session in its namespace (the Theorem 3.5 snapshot+replay path a
+  restart takes), then the worker sends a hello frame;
 * **serving** — requests are handled strictly in order (a worker *is*
   its shard's write lock); every response pushes back the worker's
   latency-sketch and counter **deltas** since the previous response, so
   the router merges fleet telemetry without polling;
 * **death** — a killed or hung worker is detected by EOF/poll timeout;
-  the pool respawns it on demand and the fresh worker revives its
-  engines from the journal.  A ``record`` acknowledged by the journal
-  but not by the pipe is deduplicated on retry by the worker's
-  last-pair check — the PR 9 exactly-once discipline, now across
-  processes.
+  :meth:`ProcWorkerPool.call` respawns it before re-raising, and the
+  fresh worker revives its engines from the journal.  A ``record``
+  acknowledged by the journal but not by the pipe is deduplicated on
+  retry by the host's last-pair check — exactly-once across processes.
 
 In-memory pools (no store) lose a killed shard's sessions on respawn —
 the sound degraded direction (empty sure part, ``may_have_more``), but
@@ -46,42 +49,43 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.query import PSQuery
+from ..core.tree import DataTree
+from ..core.treetype import TreeType
 from ..faults.inject import (
-    FaultInjected,
+    active_plan,
     armed as _faults_armed,
     check_site as _check_site,
     fault_scope,
 )
 from ..faults.plan import FaultError, FaultPlan
 from ..faults.policies import Deadline, DeadlineExceeded
+from ..mediator.source import InMemorySource
 from ..obs.sketch import QuantileSketch
+from ..obs.spans import (
+    current_trace_id,
+    reset_shard,
+    reset_trace_id,
+    set_shard,
+    set_trace_id,
+    span as _span,
+)
 from ..obs.state import STATE as _OBS
-from ..store.journal import JournalError
-from ..store.session import StoreError
+from ..store.codec import (
+    canonical_dumps,
+    query_from_json,
+    query_to_json,
+    tree_from_json,
+    tree_to_json,
+    treetype_from_json,
+)
+from ..store.session import SessionStore
 from . import wire
+from .host import OPS, RETRYABLE_ERRORS, SHARD_OPS, ShardHost
 
 Json = Any
-
-#: The keyed operation families a worker keeps latency sketches for
-#: (mirrors ``sharded.SHARD_OPS``; defined here to keep the import
-#: direction ``sharded -> proc`` acyclic).
-WORKER_OPS = ("record", "ask", "answer")
-
-#: op name -> the sketch family its service time is observed under.
-_OP_FAMILY = {
-    "record": "record",
-    "ask": "ask",
-    "ask_info": "ask",
-    "answer": "answer",
-    "answer_info": "answer",
-    "answer_all": "answer",
-}
-
-#: Worker-side errors that the router may retry (after a respawn): the
-#: same set the thread backend retries, surfaced remotely.
-_WORKER_RETRYABLE = (FaultInjected, JournalError, StoreError, OSError)
 
 
 class WorkerError(RuntimeError):
@@ -92,15 +96,20 @@ class WorkerError(RuntimeError):
         self.remote_type = remote_type
 
 
-class WorkerFault(WorkerError):
-    """A worker reported a *retryable* failure (store/fault-plane)."""
+class WorkerFault(WorkerError, OSError):
+    """A worker reported a *retryable* failure (store/fault-plane).
+
+    An ``OSError``, so the one :data:`~repro.cluster.host.
+    RETRYABLE_ERRORS` tuple retries it.
+    """
 
 
-class WorkerUnavailable(WorkerError):
+class WorkerUnavailable(WorkerError, ConnectionError):
     """The worker process is dead, hung, or desynchronized.
 
-    Retryable by design: the resilience layer respawns the worker (its
-    engines revive from the journal) and retries the operation.
+    Retryable by design (a ``ConnectionError``): :meth:`ProcWorkerPool.
+    call` respawns the worker — its engines revive from the journal —
+    and the resilience layer retries the operation.
     """
 
     def __init__(self, message: str):
@@ -125,219 +134,129 @@ class WorkerConfig:
     caches_enabled: bool = False
 
 
+class _Codec:
+    """``store.codec`` at one end of the pipe: live values <-> JSON.
+
+    Paper objects travel tagged — ``{"$tree": ...}``, ``{"$query":
+    ...}``, ``{"$source": <document>}`` — inside otherwise plain JSON,
+    so one walk carries any op's args and result.  Sources are memoized
+    (by identity when encoding, by document when decoding): servers ask
+    against one shared source thousands of times, and re-encoding the
+    catalog per request would swamp the wire.
+    """
+
+    def __init__(self, tree_type: Optional[TreeType] = None):
+        self._tree_type = tree_type
+        #: memo key -> (owner, value); the owner pins identity
+        self._sources: Dict[object, Tuple[object, object]] = {}
+
+    def _remember(self, key: object, entry: Tuple[object, object]) -> object:
+        if len(self._sources) >= 8:
+            self._sources.clear()
+        self._sources[key] = entry
+        return entry[1]
+
+    def encode(self, value: object) -> Json:
+        if isinstance(value, DataTree):
+            return {"$tree": tree_to_json(value)}
+        if isinstance(value, PSQuery):
+            return {"$query": query_to_json(value)}
+        if isinstance(value, InMemorySource):
+            cached = self._sources.get(id(value))
+            if cached is not None and cached[0] is value:
+                return {"$source": cached[1]}
+            document = tree_to_json(value.document())
+            return {"$source": self._remember(id(value), (value, document))}
+        if isinstance(value, dict):
+            return {name: self.encode(item) for name, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [self.encode(item) for item in value]
+        return value
+
+    def decode(self, value: Json) -> object:
+        if isinstance(value, list):
+            return [self.decode(item) for item in value]
+        if not isinstance(value, dict):
+            return value
+        if len(value) == 1:
+            ((tag, body),) = value.items()
+            if tag == "$tree":
+                return tree_from_json(body)
+            if tag == "$query":
+                return query_from_json(body)
+            if tag == "$source":
+                key = canonical_dumps(body)
+                cached = self._sources.get(key)
+                if cached is not None:
+                    return cached[1]
+                source = InMemorySource(tree_from_json(body), self._tree_type)
+                return self._remember(key, (key, source))
+        return {name: self.decode(item) for name, item in value.items()}
+
+
 # -- the worker process -------------------------------------------------------
 
 
-class _WorkerHost:
-    """The in-worker shard host: engines, store, books, op handlers."""
+class _WorkerLoop:
+    """The worker side of the pipe: a :class:`ShardHost` plus books."""
 
     def __init__(self, config: WorkerConfig):
-        from ..mediator.webhouse import Webhouse
-        from ..store.codec import treetype_from_json
-        from ..store.session import SessionStore
-
-        self.config = config
-        self.shard = config.shard
-        self.alphabet = sorted(set(config.alphabet))
-        self.tree_type = (
+        tree_type = (
             None
             if config.tree_type_json is None
             else treetype_from_json(config.tree_type_json)
         )
-        self.auto_minimize = config.auto_minimize
-        self.store = (
-            None
-            if config.store_root is None
-            else SessionStore(config.store_root, snapshot_every=config.snapshot_every)
+        self.host = ShardHost(
+            config.shard,
+            config.alphabet,
+            tree_type,
+            auto_minimize=config.auto_minimize,
+            store=(
+                None
+                if config.store_root is None
+                else SessionStore(
+                    config.store_root, snapshot_every=config.snapshot_every
+                )
+            ),
         )
-        self._webhouse_cls = Webhouse
-        self.engines: Dict[str, Any] = {}
+        self.codec = _Codec(tree_type)
         #: per-op-family service-time sketches, reset on every push-back
-        self.pending_sketches: Dict[str, QuantileSketch] = {
-            op: QuantileSketch() for op in WORKER_OPS
+        self.pending: Dict[str, QuantileSketch] = {
+            op: QuantileSketch() for op in SHARD_OPS
         }
         #: counter snapshot at the last push-back (deltas travel)
         self._counter_base: Dict[str, float] = {}
         #: parsed fault plans by spec, so trigger state (``nth``/``once``)
         #: persists across the requests of one worker incarnation
         self._plans: Dict[str, FaultPlan] = {}
-        #: decoded documents by their canonical JSON, so repeated asks
-        #: against one source do not rebuild the tree every time
-        self._sources: Dict[str, Any] = {}
-        self.requests_handled = 0
-        self._load_persisted()
-
-    # -- engine management ----------------------------------------------------
-
-    def _load_persisted(self) -> None:
-        """Resume every journaled session — startup and the revival path."""
-        if self.store is None:
-            return
-        for name in self.store.list_sessions():
-            engine = self._webhouse_cls.resume(self.store, name)
-            engine.prepare()
-            self.engines[name] = engine
-
-    def _engine(self, key: str, create: bool) -> Optional[Any]:
-        engine = self.engines.get(key)
-        if engine is not None or not create:
-            return engine
-        engine = self._webhouse_cls(
-            self.alphabet,
-            tree_type=self.tree_type,
-            auto_minimize=self.auto_minimize,
-        )
-        if self.store is not None:
-            session = self.store.create(
-                key,
-                self.alphabet,
-                tree_type=self.tree_type,
-                auto_minimize=self.auto_minimize,
-            )
-            engine.attach(session)
-        self.engines[key] = engine
-        return engine
-
-    def _source_for(self, document_json: Json):
-        from ..mediator.source import InMemorySource
-        from ..store.codec import canonical_dumps, tree_from_json
-
-        cache_key = canonical_dumps(document_json)
-        source = self._sources.get(cache_key)
-        if source is None:
-            source = InMemorySource(tree_from_json(document_json), self.tree_type)
-            if len(self._sources) >= 8:
-                self._sources.pop(next(iter(self._sources)))
-            self._sources[cache_key] = source
-        return source
-
-    # -- op handlers -----------------------------------------------------------
 
     def handle(self, op: str, args: Dict[str, Json]) -> Json:
-        from ..store.codec import query_from_json, tree_to_json
-
+        """Shard ops go to the host; three debug ops stay here."""
         if op == "ping":
             return {"pid": os.getpid()}
         if op == "sleep":  # debug/testing: simulate a hung worker
             time.sleep(float(args.get("seconds", 0.0)))
             return {"slept_s": float(args.get("seconds", 0.0))}
-        if op == "stats":
-            return self._stats()
         if op == "spans":
-            return self._spans(int(args.get("limit", 64)))
-        if op == "answer_all":
-            query = query_from_json(args["query"])
-            rows = [
-                [key, tree_to_json(sure), more]
-                for key, (sure, more) in sorted(
-                    (key, engine.answer_with_caveats(query))
-                    for key, engine in self.engines.items()
-                )
-            ]
-            return {"rows": rows}
-        if op in ("record", "ask", "ask_info", "answer", "answer_info"):
-            return self._keyed(op, args)
-        raise ValueError(f"unknown worker op {op!r}")
-
-    def _keyed(self, op: str, args: Dict[str, Json]) -> Json:
-        from ..store.codec import query_from_json, tree_from_json, tree_to_json
-
-        key = str(args["key"])
-        query = query_from_json(args["query"])
-        if op == "record":
-            engine = self._engine(key, create=True)
-            answer = tree_from_json(args["answer"])
-            history = engine.history
-            if history and history[-1] == (query, answer):
-                # the journal acknowledged a crashed attempt; the retry
-                # is already done — exactly-once across the process hop
-                return {"recorded": False, "queries_recorded": len(history)}
-            engine.record(query, answer)
-            engine.prepare()
-            return {"recorded": True, "queries_recorded": len(engine.history)}
-        if op in ("ask", "ask_info"):
-            engine = self._engine(key, create=True)
-            source = self._source_for(args["document"])
-            answer = engine.ask(source, query)
-            engine.prepare()
-            result: Dict[str, Json] = {"answer": tree_to_json(answer)}
-            if op == "ask_info":
-                result.update(
-                    shard=self.shard,
-                    knowledge_size=engine.size(),
-                    queries_recorded=len(engine.history),
-                )
-            return result
-        # answer / answer_info: reads never create an engine, so probe
-        # traffic cannot grow the pool (the thread backend's contract)
-        engine = self._engine(key, create=False)
-        if engine is None:
-            sure_json: Json = None
-            more = True
-            size = recorded = 0
-        else:
-            sure, more = engine.answer_with_caveats(query)
-            sure_json = tree_to_json(sure)
-            size = engine.size()
-            recorded = len(engine.history)
-        result = {"sure": sure_json, "may_have_more": more}
-        if op == "answer_info":
-            result.update(
-                shard=self.shard, knowledge_size=size, queries_recorded=recorded
-            )
-        return result
-
-    def _stats(self) -> Json:
-        return {
-            "shard": self.shard,
-            "sessions": len(self.engines),
-            "session_keys": sorted(self.engines),
-            "queries_recorded": sum(
-                len(engine.history) for engine in self.engines.values()
-            ),
-            "knowledge_size": sum(
-                engine.size() for engine in self.engines.values()
-            ),
-            "pid": os.getpid(),
-            "requests_handled": self.requests_handled,
-        }
-
-    def _spans(self, limit: int) -> Json:
-        """Recent closed spans (flattened), for trace-propagation checks."""
-        rows: List[Dict[str, Json]] = []
-
-        def walk(span) -> None:
-            rows.append(
-                {
-                    "name": span.name,
-                    "trace_id": span.attrs.get("trace_id"),
-                    "shard": span.attrs.get("shard"),
-                }
-            )
-            for child in span.children:
-                walk(child)
-
-        for trace in list(_OBS.traces)[-limit:]:
-            walk(trace)
-        return {"spans": rows[-limit:]}
-
-    # -- books -----------------------------------------------------------------
+            return _recent_spans(int(args.get("limit", 64)))
+        if op not in OPS:
+            raise ValueError(f"unknown worker op {op!r}")
+        return self.codec.encode(getattr(self.host, op)(**self.codec.decode(args)))
 
     def observe(self, op: str, seconds: float) -> None:
-        family = _OP_FAMILY.get(op)
+        family = OPS[op][1] if op in OPS else None
         if family is not None:
-            self.pending_sketches[family].observe(seconds)
+            self.pending[family].observe(seconds)
 
     def drain_books(self) -> Dict[str, Json]:
         """The sketch/counter deltas since the last response (and reset)."""
         sketches = {
             op: sketch.to_dict()
-            for op, sketch in self.pending_sketches.items()
+            for op, sketch in self.pending.items()
             if sketch.count
         }
-        for op in list(self.pending_sketches):
-            if op in sketches:
-                self.pending_sketches[op] = QuantileSketch()
+        for op in sketches:
+            self.pending[op] = QuantileSketch()
         counters: Dict[str, float] = {}
         if _OBS.enabled:
             current = dict(_OBS.metrics.counters())
@@ -360,11 +279,25 @@ class _WorkerHost:
             self._plans[spec] = plan
         return plan
 
-    def close(self) -> None:
-        for engine in self.engines.values():
-            if engine.session is not None:
-                engine.detach()
-        self.engines.clear()
+
+def _recent_spans(limit: int) -> Json:
+    """Recent closed spans (flattened), for trace-propagation checks."""
+    rows: List[Dict[str, Json]] = []
+
+    def walk(span) -> None:
+        rows.append(
+            {
+                "name": span.name,
+                "trace_id": span.attrs.get("trace_id"),
+                "shard": span.attrs.get("shard"),
+            }
+        )
+        for child in span.children:
+            walk(child)
+
+    for trace in list(_OBS.traces)[-limit:]:
+        walk(trace)
+    return {"spans": rows[-limit:]}
 
 
 def _worker_entry(config: WorkerConfig, conn) -> None:
@@ -376,20 +309,13 @@ def _worker_entry(config: WorkerConfig, conn) -> None:
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     from .. import obs, perf
-    from ..obs.spans import (
-        reset_shard,
-        reset_trace_id,
-        set_shard,
-        set_trace_id,
-        span as _span,
-    )
 
     if config.obs_enabled:
         obs.enable(obs.RingBufferSink())
     if config.caches_enabled:
         perf.enable_caches()
 
-    host = _WorkerHost(config)
+    worker = _WorkerLoop(config)
     conn.send_bytes(
         wire.encode_frame(
             wire.response_envelope(0, value={"pid": os.getpid(), "hello": True})
@@ -421,18 +347,17 @@ def _worker_entry(config: WorkerConfig, conn) -> None:
                             f"request deadline expired before worker "
                             f"{config.shard} started"
                         )
-                    plan = host.plan_for(request.get("fault_plan"))
+                    plan = worker.plan_for(request.get("fault_plan"))
                     with fault_scope(plan):
                         if _faults_armed():
                             _check_site(f"cluster.worker.{config.shard}")
                         with _span(f"worker.{op}", shard=config.shard):
-                            value = host.handle(op, request["args"])
+                            value = worker.handle(op, request["args"])
                 finally:
                     reset_trace_id(trace_token)
                     reset_shard(shard_token)
-                host.observe(op, time.perf_counter() - started)
-                host.requests_handled += 1
-                books = host.drain_books()
+                worker.observe(op, time.perf_counter() - started)
+                books = worker.drain_books()
                 response = wire.response_envelope(seq, value=value, books=books)
         except BaseException as exc:  # every failure becomes a frame
             response = wire.response_envelope(
@@ -440,7 +365,7 @@ def _worker_entry(config: WorkerConfig, conn) -> None:
                 error={
                     "type": type(exc).__name__,
                     "message": str(exc),
-                    "retryable": isinstance(exc, _WORKER_RETRYABLE),
+                    "retryable": isinstance(exc, RETRYABLE_ERRORS),
                 },
                 books=books,
             )
@@ -448,7 +373,7 @@ def _worker_entry(config: WorkerConfig, conn) -> None:
             conn.send_bytes(wire.encode_frame(response))
         except (BrokenPipeError, OSError):
             break
-    host.close()
+    worker.host.close()
     conn.close()
 
 
@@ -468,7 +393,7 @@ class _Worker:
     restarts: int = 0
     #: accumulated worker-side service-time sketches (delta merges)
     sketches: Dict[str, QuantileSketch] = field(
-        default_factory=lambda: {op: QuantileSketch() for op in WORKER_OPS}
+        default_factory=lambda: {op: QuantileSketch() for op in SHARD_OPS}
     )
     #: accumulated worker counter deltas
     counters: Dict[str, float] = field(default_factory=dict)
@@ -495,6 +420,7 @@ class ProcWorkerPool:
         self.request_timeout_s = float(request_timeout_s)
         self.spawn_timeout_s = float(spawn_timeout_s)
         self._stopping = False
+        self._codec = _Codec()
 
     def __len__(self) -> int:
         return len(self._workers)
@@ -614,6 +540,51 @@ class ProcWorkerPool:
                     process.join(timeout=5)
                 self._discard(worker)
 
+    close = stop
+
+    # -- the transport surface --------------------------------------------------
+
+    def call(
+        self,
+        shard: int,
+        op: str,
+        args: Dict[str, object],
+        deadline: Optional[Deadline] = None,
+    ) -> object:
+        """Run one :class:`ShardHost` op on shard's worker.
+
+        Live args go out through ``store.codec`` and the result comes
+        back through it; the caller's trace id and armed fault plan
+        ride the envelope.  A dead or hung worker is respawned — its
+        engines revive from the journal — before
+        :class:`WorkerUnavailable` re-raises, so the caller's retry
+        reaches the fresh incarnation.
+        """
+        try:
+            value = self.request(
+                shard,
+                op,
+                self._codec.encode(args),
+                trace_id=current_trace_id(),
+                deadline=deadline,
+                plan=active_plan(),
+            )
+        except WorkerUnavailable:
+            try:
+                self.ensure(shard)
+            except WorkerUnavailable:
+                pass  # still down: the caller's breaker books the failure
+            raise
+        return self._codec.decode(value)
+
+    def engines(self, shard: int):
+        """Live engines exist only inside the workers: always raises."""
+        raise NotImplementedError(
+            "backend='process' hosts engines in worker processes; use "
+            "answer_info()/stats_all() for per-session books, and reopen "
+            "a durable pool to resize it"
+        )
+
     # -- the request path -------------------------------------------------------
 
     def request(
@@ -726,7 +697,7 @@ class ProcWorkerPool:
             op: QuantileSketch.merged(
                 [worker.sketches[op] for worker in self._workers]
             )
-            for op in WORKER_OPS
+            for op in SHARD_OPS
         }
 
     def stats(self) -> List[Dict[str, Json]]:
@@ -749,7 +720,6 @@ class ProcWorkerPool:
 
 __all__ = [
     "ProcWorkerPool",
-    "WORKER_OPS",
     "WorkerConfig",
     "WorkerError",
     "WorkerFault",

@@ -4,11 +4,11 @@ The paper's mediator keeps one incomplete tree per interaction (§3.4):
 knowledge is acquired and refined *per session*, and Theorem 3.5 makes
 each session's knowledge a pure function of its own query/answer
 history.  That independence is exactly what makes the warehouse
-shardable: :class:`ShardedWebhouse` owns one :class:`Webhouse` per
-session key, groups the sessions into ``shards`` independent lock
-domains via a consistent-hash :class:`~repro.cluster.ring.Router`, and
-runs fleet-wide operations on a scatter-gather
-:class:`~repro.cluster.executor.Executor`.
+shardable: :class:`ShardedWebhouse` keeps one :class:`Webhouse` per
+session key, groups the sessions into ``shards`` independent
+:class:`~repro.cluster.host.ShardHost`\\ s via a consistent-hash
+:class:`~repro.cluster.ring.Router`, and runs fleet-wide operations on
+a scatter-gather :class:`~repro.cluster.executor.Executor`.
 
 Because routing only decides *grouping* — never what any session
 knows — the certain answers are invariant under the shard count: the
@@ -16,14 +16,15 @@ same fact sequence yields identical answers on 1, 2, or 8 shards
 (exercised by ``tests/test_cluster.py``).  Concretely:
 
 * keyed operations (:meth:`record`, :meth:`ask`, :meth:`answer`) route
-  the key, pass the shard's admission gate, and take the shard's
-  readers-writer lock — reads share, writes exclude, and a hot shard
-  sheds load (:class:`~repro.cluster.admission.ShardOverloaded`)
-  instead of queueing without bound;
-* fleet operations (:meth:`ask_all`, :meth:`stats_all`) scatter one
-  task per shard and gather **deterministically**: per-shard results
-  are merged in globally sorted session-key order, so the certain-
-  answer union is reproducible regardless of thread scheduling.
+  the key, pass the shard's admission gate and circuit breaker, and
+  reach the shard's host — a hot shard sheds load
+  (:class:`~repro.cluster.admission.ShardOverloaded`) instead of
+  queueing without bound;
+* fleet operations (:meth:`ask_all`, :meth:`stats_all`,
+  :meth:`apply_remedy`) scatter one task per shard and gather
+  **deterministically**: per-shard results are merged in globally
+  sorted session-key order, so the certain-answer union is reproducible
+  regardless of thread scheduling.
 
 :meth:`ask_all`'s union assumes the fleet observes one source document
 (the Section 1 scenario: many interactions against the same catalog);
@@ -34,17 +35,17 @@ different documents should be queried per key, not fleet-wide.
 Backends
 --------
 
-``backend="thread"`` (default) keeps every shard's engines in this
-process behind per-shard readers-writer locks — cheap, but all Refine
-and answering work shares one GIL.  ``backend="process"`` hosts each
-shard in its own worker process (:class:`~repro.cluster.proc.
-ProcWorkerPool`): keyed and fleet operations become request/response
-round trips framed by the :mod:`~repro.cluster.wire` binary codec, the
-worker owns its durable ``SessionStore.shard(i)`` namespace, and shard
-work runs on real cores.  Semantics are identical by construction —
-same router, same admission gates, same :class:`ResiliencePolicy`
-(retry + breakers; the "revive" step becomes a worker respawn whose
-engines resume from the journal), same degraded ``ask_all`` — and the
+Every shard op has one implementation, in ``ShardHost``; the pool
+reaches shards only through a transport's ``call(shard, op, args,
+deadline)``.  ``backend="thread"`` (default) picks the in-process
+:class:`~repro.cluster.host.LocalTransport` — each host behind its own
+readers-writer lock, cheap, but all Refine and answering work shares
+one GIL.  ``backend="process"`` picks the pipe transport
+(:class:`~repro.cluster.proc.ProcWorkerPool`): each shard's host runs
+in its own worker process and owns its durable ``SessionStore.shard(i)``
+namespace.  The backend string is read once, here in the constructor;
+routing, admission, breakers and retries, latency sketches, the
+degraded ``ask_all`` and the rollups are shared, and the
 certain-answer invariance suite runs against both backends.
 """
 
@@ -66,48 +67,23 @@ from typing import (
 from ..core.query import PSQuery
 from ..core.tree import DataTree
 from ..core.treetype import TreeType
-from ..faults.inject import FaultInjected, active_plan
 from ..faults.policies import CircuitBreaker, CircuitOpen, Deadline, RetryPolicy
 from ..mediator.local_query import overlay
 from ..mediator.source import InMemorySource
 from ..mediator.webhouse import Webhouse
 from ..obs.sketch import QuantileSketch
-from ..obs.spans import current_trace_id, reset_shard, set_shard, span as _span
+from ..obs.spans import reset_shard, set_shard, span as _span
 from ..obs.state import STATE as _OBS
 from ..perf import caches_enabled
-from ..store.codec import (
-    query_to_json,
-    tree_from_json,
-    tree_to_json,
-    treetype_to_json,
-)
-from ..store.journal import JournalError
-from ..store.session import StoreError
+from ..store.codec import treetype_to_json
 from .admission import AdmissionController
 from .executor import Executor
-from .locks import RWLock
-from .proc import (
-    ProcWorkerPool,
-    WorkerConfig,
-    WorkerError,
-    WorkerFault,
-    WorkerUnavailable,
-)
+from .host import RETRYABLE_ERRORS, SHARD_OPS, LocalTransport, ShardHost
+from .proc import ProcWorkerPool, WorkerConfig
 from .ring import DEFAULT_REPLICAS, Router
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.session import SessionStore
-
-#: Errors worth retrying / counting against a shard's breaker: injected
-#: faults and the store-layer failures they (or real disks) surface as.
-#: Deliberate control decisions — admission shedding, validation — are
-#: excluded: retrying them would amplify load, not absorb a glitch.
-RETRYABLE_ERRORS = (FaultInjected, JournalError, StoreError, OSError)
-
-#: The process backend adds the worker-side retryables: a dead/hung
-#: worker (respawned + journal-revived before the retry) and a remote
-#: store/fault failure the worker reported as retryable.
-PROC_RETRYABLE_ERRORS = RETRYABLE_ERRORS + (WorkerFault, WorkerUnavailable)
 
 #: The execution backends :class:`ShardedWebhouse` supports.
 BACKENDS = ("thread", "process")
@@ -117,10 +93,11 @@ BACKENDS = ("thread", "process")
 class ResiliencePolicy:
     """How the cluster absorbs per-shard trouble (docs/ROBUSTNESS.md).
 
-    * ``retry`` wraps each keyed *write* operation (``record``/``ask``):
-      a transient store failure is retried after the wedged engine is
-      revived from its journal, so one torn write does not surface to
-      the caller.
+    * ``retry`` wraps every keyed operation (``record``/``ask``/
+      ``answer``): a transient failure is retried — after the host has
+      rebuilt a wedged engine from its journal, or the pipe transport
+      has respawned a dead worker — so one torn write does not surface
+      to the caller.
     * ``breaker_*`` parameterize the per-shard circuit breakers: after
       ``breaker_failures`` consecutive unabsorbed failures a shard
       refuses keyed operations (:class:`CircuitOpen` → HTTP 503) for
@@ -144,28 +121,22 @@ def _validate_key(key: str) -> str:
     return key
 
 
-#: The keyed operations each shard keeps a latency sketch for.
-SHARD_OPS = ("record", "ask", "answer")
-
-
 class Shard:
-    """One lock domain: a dict of per-session engines behind an RWLock."""
+    """The router's books for one shard: latency sketches and breaker."""
 
-    __slots__ = ("index", "lock", "engines", "sketches")
+    __slots__ = ("index", "sketches", "breaker")
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, breaker: CircuitBreaker):
         self.index = index
-        self.lock = RWLock()
-        #: session key -> its engine; guarded by :attr:`lock`.
-        self.engines: Dict[str, Webhouse] = {}
         #: op name -> latency sketch (always-on; the sketches carry
-        #: their own locks, so observation never touches :attr:`lock`).
+        #: their own locks)
         self.sketches: Dict[str, QuantileSketch] = {
             op: QuantileSketch() for op in SHARD_OPS
         }
+        self.breaker = breaker
 
     def __repr__(self) -> str:
-        return f"Shard({self.index}, sessions={len(self.engines)})"
+        return f"Shard({self.index}, breaker={self.breaker.state!r})"
 
 
 class ShardedWebhouse:
@@ -206,19 +177,20 @@ class ShardedWebhouse:
         self._auto_minimize = auto_minimize
         self._factory = factory
         self.router = router if router is not None else Router(shards, replicas=replicas)
-        self._shards: List[Shard] = [Shard(index) for index in range(shards)]
         self._owns_executor = executor is None
         self.executor = executor if executor is not None else Executor(max_workers=shards)
         self.admission = (
             admission if admission is not None else AdmissionController(shards)
         )
-        self._store = store
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
-        self._breakers: List[CircuitBreaker] = [
-            CircuitBreaker(
-                f"shard-{index}",
-                failure_threshold=self.resilience.breaker_failures,
-                cooldown_s=self.resilience.breaker_cooldown_s,
+        self._shards: List[Shard] = [
+            Shard(
+                index,
+                CircuitBreaker(
+                    f"shard-{index}",
+                    failure_threshold=self.resilience.breaker_failures,
+                    cooldown_s=self.resilience.breaker_cooldown_s,
+                ),
             )
             for index in range(shards)
         ]
@@ -226,12 +198,9 @@ class ShardedWebhouse:
         #: seconds) — benchmarks use it to pool the exact raw durations
         #: the shard sketches saw, for ground-truth quantile comparison.
         self.latency_probe = latency_probe
-        self._substores: List[Optional["SessionStore"]] = [None] * shards
-        if store is not None:
-            self._substores = [store.shard(index) for index in range(shards)]
-        #: decoded-source JSON memo for the process backend: id(source)
-        #: -> (source, document JSON), capped small (see _document_json)
-        self._doc_json: Dict[int, Tuple[object, object]] = {}
+        substores = [
+            None if store is None else store.shard(index) for index in range(shards)
+        ]
         self._pool: Optional[ProcWorkerPool] = None
         if backend == "process":
             self._pool = ProcWorkerPool(
@@ -240,74 +209,35 @@ class ShardedWebhouse:
                         shard=index,
                         alphabet=tuple(self._alphabet),
                         tree_type_json=(
-                            None
-                            if tree_type is None
-                            else treetype_to_json(tree_type)
+                            None if tree_type is None else treetype_to_json(tree_type)
                         ),
                         auto_minimize=auto_minimize,
-                        store_root=(
-                            None
-                            if store is None
-                            else self._substores[index].root
-                        ),
+                        store_root=None if sub is None else sub.root,
                         snapshot_every=(
                             store.snapshot_every if store is not None else 32
                         ),
                         obs_enabled=_OBS.enabled,
                         caches_enabled=caches_enabled(),
                     )
-                    for index in range(shards)
+                    for index, sub in enumerate(substores)
                 ],
                 request_timeout_s=worker_timeout_s,
             ).start()
-        elif store is not None:
-            # thread backend resumes journaled sessions in-process; the
-            # process backend's workers each resume their own namespace
-            self._load_persisted()
-
-    # -- construction helpers ---------------------------------------------------
-
-    def _load_persisted(self) -> None:
-        """Resume every journaled session from the per-shard namespaces."""
-        for shard in self._shards:
-            sub = self._substores[shard.index]
-            if sub is None:
-                continue
-            for name in sub.list_sessions():
-                engine = Webhouse.resume(sub, name)
-                engine.prepare()
-                shard.engines[name] = engine
-
-    def _new_engine(self, shard: Shard, key: str) -> Webhouse:
-        """Create (and, when durable, attach) the engine for ``key``.
-
-        Caller holds the shard's write lock.
-        """
-        engine = (
-            self._factory()
-            if self._factory is not None
-            else Webhouse(
-                self._alphabet,
-                tree_type=self._tree_type,
-                auto_minimize=self._auto_minimize,
+            self._transport = self._pool
+        else:
+            self._transport = LocalTransport(
+                [
+                    ShardHost(
+                        index,
+                        self._alphabet,
+                        tree_type,
+                        auto_minimize=auto_minimize,
+                        store=sub,
+                        factory=factory,
+                    )
+                    for index, sub in enumerate(substores)
+                ]
             )
-        )
-        sub = self._substores[shard.index]
-        if sub is not None:
-            session = sub.create(
-                key,
-                self._alphabet,
-                tree_type=self._tree_type,
-                auto_minimize=self._auto_minimize,
-            )
-            engine.attach(session)
-        shard.engines[key] = engine
-        if _OBS.enabled:
-            _OBS.metrics.inc("cluster.sessions_created")
-            _OBS.metrics.set_gauge(
-                f"shard.{shard.index}.sessions", len(shard.engines)
-            )
-        return engine
 
     # -- routing ----------------------------------------------------------------
 
@@ -324,240 +254,58 @@ class ShardedWebhouse:
         """The shard index that owns ``key`` (stable across processes)."""
         return self.router.route(_validate_key(key))
 
-    def _observe_op(self, shard: Shard, op: str, seconds: float) -> None:
-        """Fold one completed keyed operation into the shard's sketch.
-
-        Shed operations are *not* observed — a refused request has no
-        service latency; admission books count it instead.
-        """
-        shard.sketches[op].observe(seconds)
-        if self.latency_probe is not None:
-            self.latency_probe(shard.index, op, seconds)
-
-    # -- resilience -------------------------------------------------------------
-
     def breaker(self, index: int) -> CircuitBreaker:
         """Shard ``index``'s circuit breaker (for books and tests)."""
-        return self._breakers[index]
-
-    def _revive_engine(self, shard: Shard, key: str) -> None:
-        """Drop a possibly-wedged engine and resume it from its journal.
-
-        Caller holds the shard's *write* lock.  A store-layer failure
-        mid-record can leave an engine's memory ahead of its journal
-        (or its journal handle closed); the only trustworthy copy is
-        disk, so the engine is rebuilt by snapshot + replay — the same
-        Theorem 3.5 path a process restart takes.  In-memory clusters
-        (no store) keep the engine: with no journal to disagree with,
-        memory *is* the state.
-        """
-        sub = self._substores[shard.index]
-        if sub is None or not sub.exists(key):
-            return
-        shard.engines.pop(key, None)
-        revived = Webhouse.resume(sub, key)
-        revived.prepare()
-        shard.engines[key] = revived
-        if _OBS.enabled:
-            _OBS.metrics.inc("cluster.engine_revivals")
-
-    def _resilient(self, shard: Shard, key: str, op: Callable[[], object]) -> object:
-        """Run a keyed engine op under the shard's breaker + retry policy.
-
-        ``op`` must look its engine up on every call — after a failed
-        attempt the engine is revived from disk, and the retry has to
-        see the replacement.  Only :data:`RETRYABLE_ERRORS` are retried
-        or counted against the breaker; admission shedding and
-        validation errors pass straight through.
-        """
-        breaker = self._breakers[shard.index]
-        if not breaker.allow():
-            raise CircuitOpen(breaker.name, breaker.cooldown_s)
-
-        def attempt() -> object:
-            try:
-                return op()
-            except RETRYABLE_ERRORS:
-                self._revive_engine(shard, key)
-                raise
-
-        try:
-            result = self.resilience.retry.call(attempt, retry_on=RETRYABLE_ERRORS)
-        except RETRYABLE_ERRORS:
-            breaker.record_failure()
-            raise
-        breaker.record_success()
-        return result
-
-    # -- process backend plumbing -----------------------------------------------
-
-    def _document_json(self, source: InMemorySource) -> object:
-        """``source``'s document in codec JSON, memoized by identity.
-
-        Benchmarks and servers ask against one shared source thousands
-        of times; re-encoding the whole catalog per request would
-        swamp the wire.  The memo is keyed by ``id`` with the source
-        object held in the value, so a recycled id cannot alias a
-        different document.
-        """
-        cached = self._doc_json.get(id(source))
-        if cached is not None and cached[0] is source:
-            return cached[1]
-        document = tree_to_json(source.document())
-        if len(self._doc_json) >= 8:
-            self._doc_json.pop(next(iter(self._doc_json)))
-        self._doc_json[id(source)] = (source, document)
-        return document
-
-    def _resilient_proc(
-        self,
-        shard: Shard,
-        op: str,
-        args: Dict[str, object],
-        *,
-        deadline: Optional[Deadline] = None,
-    ) -> object:
-        """The process-backend analogue of :meth:`_resilient`.
-
-        The breaker and retry policy are the same objects; only the
-        revival step differs — instead of rebuilding one engine from
-        its journal in-process, :meth:`ProcWorkerPool.ensure` respawns
-        the shard's worker, which resumes *every* journaled session in
-        its namespace before the retry reaches it.  The caller's trace
-        id and armed fault plan are captured here and ride the wire
-        envelope (contextvars do not cross processes).
-        """
-        breaker = self._breakers[shard.index]
-        if not breaker.allow():
-            raise CircuitOpen(breaker.name, breaker.cooldown_s)
-        pool = self._pool
-        trace_id = current_trace_id()
-        plan = active_plan()
-
-        def attempt() -> object:
-            try:
-                return pool.request(
-                    shard.index,
-                    op,
-                    args,
-                    trace_id=trace_id,
-                    deadline=deadline,
-                    plan=plan,
-                )
-            except (WorkerFault, WorkerUnavailable):
-                pool.ensure(shard.index)
-                raise
-
-        try:
-            result = self.resilience.retry.call(
-                attempt, retry_on=PROC_RETRYABLE_ERRORS
-            )
-        except PROC_RETRYABLE_ERRORS:
-            breaker.record_failure()
-            raise
-        breaker.record_success()
-        return result
-
-    def _keyed_proc(
-        self, op: str, family: str, key: str, args: Dict[str, object]
-    ) -> object:
-        """Route one keyed op to its shard's worker process.
-
-        Admission, span, and latency-sketch bookkeeping mirror the
-        thread path exactly; the shard lock has no process-mode
-        counterpart because the worker serializes its own requests —
-        the worker *is* the shard's write lock.  Unlike the thread
-        backend, reads also pass the breaker: they take the same
-        pipe round trip writes do, so a dead worker should shed them
-        just as fast.
-        """
-        shard = self._shards[self.shard_of(key)]
-        with self.admission.admit(shard.index):
-            started = time.perf_counter()
-            token = set_shard(shard.index)
-            try:
-                with _span(f"cluster.{family}", shard=shard.index, key=key):
-                    value = self._resilient_proc(shard, op, dict(args, key=key))
-            finally:
-                reset_shard(token)
-            self._observe_op(shard, family, time.perf_counter() - started)
-            return value
-
-    @staticmethod
-    def _tree_from_optional(document: object) -> DataTree:
-        return DataTree.empty() if document is None else tree_from_json(document)
+        return self._shards[index].breaker
 
     # -- keyed operations -------------------------------------------------------
 
-    def record(self, key: str, query: PSQuery, answer: DataTree) -> None:
-        """Refine session ``key``'s knowledge with one pair (write path)."""
-        if self._backend == "process":
-            self._keyed_proc(
-                "record",
-                "record",
-                key,
-                {"query": query_to_json(query), "answer": tree_to_json(answer)},
-            )
-            return
+    def _keyed(self, op: str, key: str, args: Dict[str, object]) -> Dict[str, object]:
+        """Route one keyed op: admission, span, breaker + retry, sketch.
+
+        Every keyed op — read or write — takes the same path.  Only
+        :data:`RETRYABLE_ERRORS` are retried or counted against the
+        breaker; admission shedding and validation errors pass straight
+        through.  A retry needs no revival step here: the host rebuilds
+        a wedged engine from its journal, and the pipe transport
+        respawns a dead worker, before the error reaches this loop.
+        Shed operations are *not* sketched — a refused request has no
+        service latency; admission books count it instead.
+        """
         shard = self._shards[self.shard_of(key)]
+        args = dict(args, key=key)
         with self.admission.admit(shard.index):
             started = time.perf_counter()
             token = set_shard(shard.index)
             try:
-                with _span("cluster.record", shard=shard.index, key=key):
-                    with shard.lock.write_locked():
-
-                        def op() -> None:
-                            engine = shard.engines.get(key)
-                            if engine is None:
-                                engine = self._new_engine(shard, key)
-                            history = engine.history
-                            if history and history[-1] == (query, answer):
-                                # a crashed attempt persisted the pair
-                                # before failing; the retry is already done
-                                return
-                            engine.record(query, answer)
-                            engine.prepare()
-
-                        self._resilient(shard, key, op)
+                with _span(f"cluster.{op}", shard=shard.index, key=key):
+                    breaker = shard.breaker
+                    if not breaker.allow():
+                        raise CircuitOpen(breaker.name, breaker.cooldown_s)
+                    try:
+                        value = self.resilience.retry.call(
+                            lambda: self._transport.call(shard.index, op, args),
+                            retry_on=RETRYABLE_ERRORS,
+                        )
+                    except RETRYABLE_ERRORS:
+                        breaker.record_failure()
+                        raise
+                    breaker.record_success()
             finally:
                 reset_shard(token)
-            self._observe_op(shard, "record", time.perf_counter() - started)
+            seconds = time.perf_counter() - started
+            shard.sketches[op].observe(seconds)
+            if self.latency_probe is not None:
+                self.latency_probe(shard.index, op, seconds)
+            return value
+
+    def record(self, key: str, query: PSQuery, answer: DataTree) -> None:
+        """Refine session ``key``'s knowledge with one pair (write path)."""
+        self._keyed("record", key, {"query": query, "answer": answer})
 
     def ask(self, key: str, source: InMemorySource, query: PSQuery) -> DataTree:
         """Query the source for session ``key`` and fold the answer in."""
-        if self._backend == "process":
-            value = self._keyed_proc(
-                "ask",
-                "ask",
-                key,
-                {
-                    "query": query_to_json(query),
-                    "document": self._document_json(source),
-                },
-            )
-            return tree_from_json(value["answer"])
-        shard = self._shards[self.shard_of(key)]
-        with self.admission.admit(shard.index):
-            started = time.perf_counter()
-            token = set_shard(shard.index)
-            try:
-                with _span("cluster.ask", shard=shard.index, key=key):
-                    with shard.lock.write_locked():
-
-                        def op() -> DataTree:
-                            engine = shard.engines.get(key)
-                            if engine is None:
-                                engine = self._new_engine(shard, key)
-                            answer = engine.ask(source, query)
-                            engine.prepare()
-                            return answer
-
-                        result = self._resilient(shard, key, op)
-            finally:
-                reset_shard(token)
-            self._observe_op(shard, "ask", time.perf_counter() - started)
-            return result
+        return self._keyed("ask", key, {"source": source, "query": query})["answer"]
 
     def answer(self, key: str, query: PSQuery) -> Tuple[DataTree, bool]:
         """Session ``key``'s certain answer with caveat flag (read path).
@@ -566,33 +314,11 @@ class ShardedWebhouse:
         ``may_have_more=True`` — *without* creating an engine, so probe
         traffic cannot grow the pool.
         """
-        if self._backend == "process":
-            value = self._keyed_proc(
-                "answer", "answer", key, {"query": query_to_json(query)}
-            )
-            return (
-                self._tree_from_optional(value["sure"]),
-                bool(value["may_have_more"]),
-            )
-        shard = self._shards[self.shard_of(key)]
-        with self.admission.admit(shard.index):
-            started = time.perf_counter()
-            token = set_shard(shard.index)
-            try:
-                with _span("cluster.answer", shard=shard.index, key=key):
-                    with shard.lock.read_locked():
-                        engine = shard.engines.get(key)
-                        if engine is None:
-                            result = DataTree.empty(), True
-                        else:
-                            result = engine.answer_with_caveats(query)
-            finally:
-                reset_shard(token)
-            self._observe_op(shard, "answer", time.perf_counter() - started)
-            return result
+        info = self._keyed("answer", key, {"query": query})
+        return info["sure"], info["may_have_more"]
 
     def answer_info(self, key: str, query: PSQuery) -> Dict[str, object]:
-        """:meth:`answer` plus the session's books, one lock round-trip.
+        """:meth:`answer` plus the session's books, one round trip.
 
         The HTTP ``/ask`` path needs the caveated answer *and* the
         session's knowledge size and history length for its response
@@ -601,109 +327,24 @@ class ShardedWebhouse:
         ``sure``, ``may_have_more``, ``shard``, ``knowledge_size``,
         ``queries_recorded``.
         """
-        if self._backend == "process":
-            value = self._keyed_proc(
-                "answer_info", "answer", key, {"query": query_to_json(query)}
-            )
-            return {
-                "sure": self._tree_from_optional(value["sure"]),
-                "may_have_more": bool(value["may_have_more"]),
-                "shard": value["shard"],
-                "knowledge_size": value["knowledge_size"],
-                "queries_recorded": value["queries_recorded"],
-            }
-        shard = self._shards[self.shard_of(key)]
-        with self.admission.admit(shard.index):
-            started = time.perf_counter()
-            token = set_shard(shard.index)
-            try:
-                with _span("cluster.answer", shard=shard.index, key=key):
-                    with shard.lock.read_locked():
-                        engine = shard.engines.get(key)
-                        if engine is None:
-                            info: Dict[str, object] = {
-                                "sure": DataTree.empty(),
-                                "may_have_more": True,
-                                "shard": shard.index,
-                                "knowledge_size": 0,
-                                "queries_recorded": 0,
-                            }
-                        else:
-                            sure, more = engine.answer_with_caveats(query)
-                            info = {
-                                "sure": sure,
-                                "may_have_more": more,
-                                "shard": shard.index,
-                                "knowledge_size": engine.size(),
-                                "queries_recorded": len(engine.history),
-                            }
-            finally:
-                reset_shard(token)
-            self._observe_op(shard, "answer", time.perf_counter() - started)
-            return info
+        return self._keyed("answer", key, {"query": query})
 
     def ask_info(
         self, key: str, source: InMemorySource, query: PSQuery
     ) -> Dict[str, object]:
-        """:meth:`ask` plus the session's books, one lock round-trip."""
-        if self._backend == "process":
-            value = self._keyed_proc(
-                "ask_info",
-                "ask",
-                key,
-                {
-                    "query": query_to_json(query),
-                    "document": self._document_json(source),
-                },
-            )
-            return {
-                "answer": tree_from_json(value["answer"]),
-                "shard": value["shard"],
-                "knowledge_size": value["knowledge_size"],
-                "queries_recorded": value["queries_recorded"],
-            }
-        shard = self._shards[self.shard_of(key)]
-        with self.admission.admit(shard.index):
-            started = time.perf_counter()
-            token = set_shard(shard.index)
-            try:
-                with _span("cluster.ask", shard=shard.index, key=key):
-                    with shard.lock.write_locked():
-
-                        def op() -> Dict[str, object]:
-                            engine = shard.engines.get(key)
-                            if engine is None:
-                                engine = self._new_engine(shard, key)
-                            answer = engine.ask(source, query)
-                            engine.prepare()
-                            return {
-                                "answer": answer,
-                                "shard": shard.index,
-                                "knowledge_size": engine.size(),
-                                "queries_recorded": len(engine.history),
-                            }
-
-                        info = self._resilient(shard, key, op)
-            finally:
-                reset_shard(token)
-            self._observe_op(shard, "ask", time.perf_counter() - started)
-            return info
+        """:meth:`ask` plus the session's books (``answer``, ``shard``,
+        ``knowledge_size``, ``queries_recorded``), one round trip."""
+        return self._keyed("ask", key, {"source": source, "query": query})
 
     def engine(self, key: str) -> Optional[Webhouse]:
         """The engine behind ``key``, if the session exists (read lock).
 
         Process backend: engines live in worker processes; there is no
-        local object to hand out, so this raises — callers that need
-        per-session books should use :meth:`answer_info` instead.
+        local object to hand out, so this raises
+        ``NotImplementedError`` — callers that need per-session books
+        should use :meth:`answer_info` instead.
         """
-        if self._backend == "process":
-            raise NotImplementedError(
-                "backend='process' hosts engines in worker processes; "
-                "use answer_info()/stats_all() for per-session books"
-            )
-        shard = self._shards[self.shard_of(key)]
-        with shard.lock.read_locked():
-            return shard.engines.get(key)
+        return self._transport.engines(self.shard_of(key)).get(key)
 
     # -- fleet operations -------------------------------------------------------
 
@@ -711,11 +352,11 @@ class ShardedWebhouse:
         """Fleet-wide certain answer: scatter, gather, deterministic union.
 
         Every shard evaluates the query against each of its sessions
-        under its read lock (shards run in parallel); the per-session
-        sure parts are then merged in globally sorted key order with
-        :func:`overlay`.  Returns ``(union, may_have_more)`` where the
-        flag is True when *any* session's knowledge might miss matches —
-        or when the fleet holds no sessions at all.
+        (shards run in parallel, each under its read discipline); the
+        per-session sure parts are then merged in globally sorted key
+        order with :func:`overlay`.  Returns ``(union, may_have_more)``
+        where the flag is True when *any* session's knowledge might
+        miss matches — or when the fleet holds no sessions at all.
 
         A failing, stalled (past the resilience deadline), or
         breaker-open shard *degrades* the fan-out instead of failing
@@ -743,40 +384,18 @@ class ShardedWebhouse:
                 else None
             )
             failed: Dict[int, str] = {}
-            open_breakers = [
-                shard.index
-                for shard in self._shards
-                if not self._breakers[shard.index].allow()
-            ]
-            live = [s for s in self._shards if s.index not in open_breakers]
-            for index in open_breakers:
-                failed[index] = f"CircuitOpen: shard-{index} is open"
-            process = self._backend == "process"
-            query_json = query_to_json(query) if process else None
-            trace_id = current_trace_id()
-            plan = active_plan()
-            retryable = PROC_RETRYABLE_ERRORS if process else RETRYABLE_ERRORS
+            live: List[Shard] = []
+            for shard in self._shards:
+                if shard.breaker.allow():
+                    live.append(shard)
+                else:
+                    failed[shard.index] = f"CircuitOpen: shard-{shard.index} is open"
 
             def per_shard(_pos: int, shard: Shard) -> List[Tuple[str, DataTree, bool]]:
                 with self.admission.admit(shard.index):
-                    if process:
-                        value = self._pool.request(
-                            shard.index,
-                            "answer_all",
-                            {"query": query_json},
-                            trace_id=trace_id,
-                            deadline=deadline,
-                            plan=plan,
-                        )
-                        return [
-                            (row[0], tree_from_json(row[1]), bool(row[2]))
-                            for row in value["rows"]
-                        ]
-                    with shard.lock.read_locked():
-                        return [
-                            (key, *engine.answer_with_caveats(query))
-                            for key, engine in sorted(shard.engines.items())
-                        ]
+                    return self._transport.call(
+                        shard.index, "answer_all", {"query": query}, deadline
+                    )
 
             outcomes = self.executor.scatter_outcomes(live, per_shard, deadline=deadline)
             rows: List[Tuple[str, DataTree, bool]] = []
@@ -786,15 +405,8 @@ class ShardedWebhouse:
                 else:
                     error = outcome.error
                     failed[shard.index] = f"{type(error).__name__}: {error}"
-                    if isinstance(error, retryable):
-                        self._breakers[shard.index].record_failure()
-                        if process and isinstance(error, WorkerUnavailable):
-                            # bring the shard back for the next fan-out;
-                            # this round stays degraded (sound by monotonicity)
-                            try:
-                                self._pool.ensure(shard.index)
-                            except WorkerUnavailable:
-                                pass
+                    if isinstance(error, RETRYABLE_ERRORS):
+                        shard.breaker.record_failure()
             rows.sort(key=lambda row: row[0])
             merged: Optional[DataTree] = None
             may_have_more = not rows
@@ -816,6 +428,22 @@ class ShardedWebhouse:
                 "sessions_answered": len(rows),
             }
 
+    def apply_remedy(self, remedy: str) -> None:
+        """Apply one of the paper's growth remedies to every session.
+
+        The SLO degrade hook's cluster path.  Each shard applies it to
+        its own engines under its write discipline; every
+        representation shrinks independently (Theorem 3.5 keeps the
+        sessions' knowledge separate).
+        """
+        with _span("cluster.apply_remedy", remedy=remedy):
+            self.executor.scatter(
+                self._shards,
+                lambda _pos, shard: self._transport.call(
+                    shard.index, "apply_remedy", {"remedy": remedy}
+                ),
+            )
+
     def merged_sketches(self) -> Dict[str, QuantileSketch]:
         """Fleet latency sketches: per-shard books merged per operation.
 
@@ -833,70 +461,45 @@ class ShardedWebhouse:
         }
 
     def stats_all(self) -> Dict[str, object]:
-        """Fleet rollup: per-shard session books, admission stats, and
-        merged fleet latency quantiles per keyed operation."""
+        """Fleet rollup: per-shard session books, admission and breaker
+        stats, and merged fleet latency quantiles per keyed operation.
+
+        A shard that cannot answer degrades the rollup (zero books plus
+        an ``error``), never fails it.  Under the process backend each
+        row also carries its ``worker`` (pid, alive, restarts) and the
+        rollup adds the workers' service-time quantiles.
+        """
         with _span("cluster.stats_all", shards=len(self._shards)):
-            process = self._backend == "process"
-            trace_id = current_trace_id()
-            pool_stats = (
-                {row["shard"]: row for row in self._pool.stats()} if process else {}
+            outcomes = self.executor.scatter_outcomes(
+                self._shards,
+                lambda _pos, shard: self._transport.call(shard.index, "stats", {}),
             )
-
-            def per_shard(index: int, shard: Shard) -> Dict[str, object]:
-                if process:
-                    worker_row = pool_stats.get(index, {})
-                    worker: Dict[str, object] = {
-                        "pid": worker_row.get("pid"),
-                        "alive": worker_row.get("alive", False),
-                        "restarts": worker_row.get("restarts", 0),
-                    }
-                    try:
-                        value = self._pool.request(
-                            index, "stats", trace_id=trace_id
-                        )
-                    except WorkerError as exc:
-                        # a dead shard degrades the rollup, never fails it
-                        worker["alive"] = False
-                        worker["error"] = str(exc)
-                        return {
-                            "shard": index,
-                            "sessions": 0,
-                            "session_keys": [],
-                            "queries_recorded": 0,
-                            "knowledge_size": 0,
-                            "worker": worker,
-                        }
-                    worker["requests_handled"] = value["requests_handled"]
-                    return {
-                        "shard": index,
-                        "sessions": value["sessions"],
-                        "session_keys": value["session_keys"],
-                        "queries_recorded": value["queries_recorded"],
-                        "knowledge_size": value["knowledge_size"],
-                        "worker": worker,
-                    }
-                with shard.lock.read_locked():
-                    return {
-                        "shard": index,
-                        "sessions": len(shard.engines),
-                        "session_keys": sorted(shard.engines),
-                        "queries_recorded": sum(
-                            len(engine.history) for engine in shard.engines.values()
-                        ),
-                        "knowledge_size": sum(
-                            engine.size() for engine in shard.engines.values()
-                        ),
-                    }
-
-            per_shard_stats = self.executor.scatter(self._shards, per_shard)
+            workers = {row["shard"]: row for row in self.worker_stats()}
             admission = self.admission.stats()
-            for stats, gate, breaker in zip(
-                per_shard_stats, admission, self._breakers
-            ):
+            per_shard_stats: List[Dict[str, object]] = []
+            for shard, outcome, gate in zip(self._shards, outcomes, admission):
+                if outcome.ok:
+                    stats = outcome.value
+                else:
+                    error = outcome.error
+                    stats = {
+                        "shard": shard.index,
+                        "sessions": 0,
+                        "session_keys": [],
+                        "queries_recorded": 0,
+                        "knowledge_size": 0,
+                        "error": f"{type(error).__name__}: {error}",
+                    }
+                worker = workers.get(shard.index)
+                if worker is not None:
+                    stats["worker"] = {
+                        name: worker[name] for name in ("pid", "alive", "restarts")
+                    }
                 stats["admission"] = {
                     name: count for name, count in gate.items() if name != "shard"
                 }
-                stats["breaker"] = breaker.stats()
+                stats["breaker"] = shard.breaker.stats()
+                per_shard_stats.append(stats)
             rollup: Dict[str, object] = {
                 "shards": len(self._shards),
                 "backend": self._backend,
@@ -912,56 +515,41 @@ class ShardedWebhouse:
                     if sketch.count
                 },
             }
-            if process:
+            worker_sketches = self.worker_sketches()
+            if worker_sketches:
                 # worker-side *service* time, next to the router-side
                 # round-trip latency above; the gap between them is the
                 # wire + scheduling overhead of the process hop
                 rollup["worker_latency"] = {
                     op: sketch.summary()
-                    for op, sketch in self._pool.worker_sketches().items()
+                    for op, sketch in worker_sketches.items()
                     if sketch.count
                 }
             return rollup
 
     # -- inventory --------------------------------------------------------------
 
-    def _worker_inventory(self) -> List[Dict[str, object]]:
-        """Per-worker stats rows, skipping dead workers (process mode)."""
-        rows: List[Dict[str, object]] = []
+    def _inventory(self, op: str) -> List[object]:
+        """Every reachable shard's ``op`` result; an unreachable one
+        drops out."""
+        results: List[object] = []
         for shard in self._shards:
             try:
-                rows.append(self._pool.request(shard.index, "stats"))
-            except WorkerError:
+                results.append(self._transport.call(shard.index, op, {}))
+            except RETRYABLE_ERRORS:
                 continue
-        return rows
+        return results
 
     def sessions(self) -> List[str]:
-        """All session keys, sorted (read-locks each shard in turn)."""
-        if self._backend == "process":
-            keys: List[str] = []
-            for row in self._worker_inventory():
-                keys.extend(row["session_keys"])
-            return sorted(keys)
-        keys = []
-        for shard in self._shards:
-            with shard.lock.read_locked():
-                keys.extend(shard.engines)
-        return sorted(keys)
+        """All session keys, sorted."""
+        return sorted(key for keys in self._inventory("keys") for key in keys)
 
     def size(self) -> int:
         """Total maintained knowledge size across every session."""
-        if self._backend == "process":
-            return sum(row["knowledge_size"] for row in self._worker_inventory())
-        total = 0
-        for shard in self._shards:
-            with shard.lock.read_locked():
-                total += sum(engine.size() for engine in shard.engines.values())
-        return total
+        return sum(row["knowledge_size"] for row in self._inventory("stats"))
 
     def __len__(self) -> int:
-        if self._backend == "process":
-            return sum(row["sessions"] for row in self._worker_inventory())
-        return sum(len(shard.engines) for shard in self._shards)
+        return sum(len(keys) for keys in self._inventory("keys"))
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -974,13 +562,10 @@ class ShardedWebhouse:
         cost a deployment would pay in session migrations).  Engines
         move by reference — in-memory only; durable namespaces are not
         relocated (a restart against the store re-resumes into the new
-        layout's directories).
+        layout's directories).  The process backend raises
+        ``NotImplementedError``: its engines live in worker processes.
         """
-        if self._backend == "process":
-            raise NotImplementedError(
-                "backend='process' cannot move live engines between "
-                "processes; rebuild the cluster against the store"
-            )
+        engines = [self._transport.engines(shard.index) for shard in self._shards]
         new = ShardedWebhouse(
             self._alphabet,
             tree_type=self._tree_type,
@@ -991,13 +576,12 @@ class ShardedWebhouse:
             router=self.router.resized(shards),
         )
         moved: List[str] = []
-        for shard in self._shards:
-            with shard.lock.read_locked():
-                for key, engine in shard.engines.items():
-                    target = new.router.route(key)
-                    new._shards[target].engines[key] = engine
-                    if target != shard.index:
-                        moved.append(key)
+        for index, shard_engines in enumerate(engines):
+            for key, engine in shard_engines.items():
+                target = new.router.route(key)
+                new._transport.hosts[target].engines[key] = engine
+                if target != index:
+                    moved.append(key)
         return new, sorted(moved)
 
     def worker_sketches(self) -> Dict[str, QuantileSketch]:
@@ -1013,14 +597,9 @@ class ShardedWebhouse:
         return self._pool
 
     def close(self) -> None:
-        """Detach durable sessions and stop the executor (if owned)."""
-        if self._pool is not None:
-            self._pool.stop()
-        for shard in self._shards:
-            with shard.lock.write_locked():
-                for engine in shard.engines.values():
-                    if engine.session is not None:
-                        engine.detach()
+        """Detach durable sessions, stop workers, and stop the executor
+        (if owned)."""
+        self._transport.close()
         if self._owns_executor:
             self.executor.shutdown()
 
@@ -1034,7 +613,6 @@ class ShardedWebhouse:
 
 __all__ = [
     "BACKENDS",
-    "PROC_RETRYABLE_ERRORS",
     "RETRYABLE_ERRORS",
     "ResiliencePolicy",
     "SHARD_OPS",

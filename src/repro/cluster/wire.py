@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, BinaryIO, Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..store.codec import canonical_dumps
 
@@ -118,42 +118,6 @@ def decode_frame(data: bytes) -> Json:
         return json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise WireError(f"frame payload is not valid JSON: {exc}")
-
-
-def write_frame(stream: BinaryIO, document: Json) -> int:
-    """Write one frame to a binary stream; returns the bytes written."""
-    frame = encode_frame(document)
-    stream.write(frame)
-    return len(frame)
-
-
-def read_frame(stream: BinaryIO) -> Optional[Json]:
-    """Read one frame from a binary stream.
-
-    Returns ``None`` on a clean EOF (zero bytes at a frame boundary);
-    raises :class:`WireError` if the stream ends mid-frame — the stream
-    analogue of the journal's torn-tail detection, except a torn frame
-    on a live connection is a protocol error, not a tolerated crash
-    artifact.
-    """
-    header = stream.read(HEADER_SIZE)
-    if not header:
-        return None
-    if len(header) < HEADER_SIZE:
-        raise WireError(
-            f"stream ended inside a frame header ({len(header)}/{HEADER_SIZE} bytes)"
-        )
-    magic, length, crc = HEADER.unpack(header)
-    if magic != MAGIC:
-        raise WireError(f"bad magic {magic!r} (expected {MAGIC!r})")
-    if length > MAX_PAYLOAD:
-        raise WireError(f"declared payload of {length} bytes exceeds {MAX_PAYLOAD}")
-    payload = stream.read(length)
-    if len(payload) < length:
-        raise WireError(
-            f"stream ended inside a frame payload ({len(payload)}/{length} bytes)"
-        )
-    return decode_frame(header + payload)
 
 
 # -- envelopes ----------------------------------------------------------------
@@ -252,8 +216,6 @@ __all__ = [
     "decode_request",
     "decode_response",
     "encode_frame",
-    "read_frame",
     "request_envelope",
     "response_envelope",
-    "write_frame",
 ]

@@ -479,18 +479,15 @@ class OpsServer:
 
         Wired only when ``degrade_on_burn`` is set.  Single-engine mode
         applies the remedy under the engine write lock; cluster mode
-        applies it to every session engine, shard by shard (each
-        representation shrinks independently — Theorem 3.5 keeps the
-        sessions' knowledge separate).
+        sends it to every shard through the cluster's transport
+        (:meth:`ShardedWebhouse.apply_remedy`), wherever the shard's
+        engines live.
         """
         remedy = alert.remedy
         if remedy is None:
             return
         if self.cluster is not None:
-            for shard in self.cluster._shards:
-                with shard.lock.write_locked():
-                    for engine in shard.engines.values():
-                        engine.apply_remedy(remedy)
+            self.cluster.apply_remedy(remedy)
         else:
             with self._engine_lock.write_locked():
                 self.webhouse.apply_remedy(remedy)

@@ -22,6 +22,7 @@ import pytest
 
 import repro.obs as obs
 from repro.cluster import (
+    BACKENDS,
     AdmissionController,
     Executor,
     Router,
@@ -32,8 +33,9 @@ from repro.cluster import (
 )
 from repro.core.tree import DataTree
 from repro.mediator.source import InMemorySource
+from repro.mediator.webhouse import Webhouse
 from repro.obs.sinks import NullSink
-from repro.ops import OpsServer, demo_cluster
+from repro.ops import OpsServer, demo_cluster, drive_request
 from repro.ops.server import _CLUSTER_PROBES, self_check
 from repro.store import SessionStore
 from repro.workloads.catalog import (
@@ -823,7 +825,10 @@ class TestClusterResilience:
         finally:
             cluster.close()
 
-    def test_retry_revives_the_engine_and_absorbs_a_torn_write(self, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_retry_revives_the_engine_and_absorbs_a_torn_write(
+        self, tmp_path, backend
+    ):
         """A transient store fault inside record must not surface: the
         wedged engine is revived from its journal and the retry lands —
         exactly once, even when the crashed attempt already persisted
@@ -832,7 +837,7 @@ class TestClusterResilience:
         from repro.faults.plan import FaultPlan
 
         source = _catalog_source()
-        cluster = _cluster(2, store=SessionStore(str(tmp_path)))
+        cluster = _cluster(2, store=SessionStore(str(tmp_path)), backend=backend)
         try:
             cluster.ask("alice", source, query1())
             torn_pair = (query2(), query2().evaluate(source.document()))
@@ -841,9 +846,20 @@ class TestClusterResilience:
                 plan = FaultPlan.parse(f"store.journal.append:{effect}:nth=1")
                 with fault_scope(plan):
                     cluster.record("alice", *pair)
-            engine = cluster.engine("alice")
             # one ask + two records; the fsync-crashed pair was already
             # durable when the retry ran, so dedupe kept it exactly once
+            assert cluster.answer_info("alice", query1())["queries_recorded"] == 3
+            shard = cluster.shard_of("alice")
+        finally:
+            cluster.close()
+
+        resumed = _cluster(2, store=SessionStore(str(tmp_path)), backend=backend)
+        try:
+            assert resumed.answer_info("alice", query1())["queries_recorded"] == 3
+        finally:
+            resumed.close()
+        engine = Webhouse.resume(SessionStore(str(tmp_path)).shard(shard), "alice")
+        try:
             assert len(engine.history) == 3
             assert list(engine.history) == [
                 engine.history[0],
@@ -851,13 +867,7 @@ class TestClusterResilience:
                 fsync_pair,
             ]
         finally:
-            cluster.close()
-
-        resumed = _cluster(2, store=SessionStore(str(tmp_path)))
-        try:
-            assert len(resumed.engine("alice").history) == 3
-        finally:
-            resumed.close()
+            engine.detach()
 
     def test_stalled_shard_hits_the_gather_deadline(self):
         from repro.cluster import ResiliencePolicy
@@ -902,3 +912,36 @@ class TestClusterResilience:
             assert _tree_facts(after[0]) == _tree_facts(before[0])
         finally:
             cluster.close()
+
+
+# -- SLO remedies ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_burn_remedy_reaches_every_shard(backend):
+    """A burning latency SLO's conjunctive remedy reaches the engines on
+    every shard, wherever the transport hosts them (Cor 3.9 changes
+    each session's maintained representation, so the fleet size moves)."""
+    from repro.obs.slo import KIND_LATENCY, Objective, SloEngine
+
+    cluster, source = demo_cluster(shards=2, backend=backend, tenants=3)
+    slo = SloEngine(
+        # every request is slower than a nanosecond: burns immediately
+        objectives=[
+            Objective(
+                "lat", KIND_LATENCY, 0.99, threshold_s=1e-9, remedy="conjunctive"
+            )
+        ],
+    )
+    server = OpsServer(
+        cluster=cluster, source=source, slo=slo, degrade_on_burn=True
+    )
+    try:
+        before = cluster.size()
+        for _ in range(15):
+            drive_request(server, "/ask?q=q1&session=demo")
+        assert server.remedies_applied == ["conjunctive"]
+        assert cluster.size() != before
+    finally:
+        server.request_log.close()
+        cluster.close()

@@ -12,14 +12,11 @@ determinism the process backend's request/response framing relies on.
 
 from __future__ import annotations
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.wire import (
-    HEADER_SIZE,
     MAGIC,
     MAX_PAYLOAD,
     WireError,
@@ -27,10 +24,8 @@ from repro.cluster.wire import (
     decode_request,
     decode_response,
     encode_frame,
-    read_frame,
     request_envelope,
     response_envelope,
-    write_frame,
 )
 from repro.core.treetype import TreeType
 from repro.store.codec import query_to_json, tree_from_json, tree_to_json
@@ -166,35 +161,6 @@ def test_errors_are_wire_errors_never_struct_or_json():
     for evil in (b"", frame[:5], frame[:-1], frame + b"!", b"\x00" * 40):
         with pytest.raises(WireError):
             decode_frame(evil)
-
-
-# -- streams -------------------------------------------------------------------
-
-
-def test_stream_roundtrip_many_frames():
-    stream = io.BytesIO()
-    documents = [{"seq": i, "payload": "x" * i} for i in range(10)]
-    for document in documents:
-        write_frame(stream, document)
-    stream.seek(0)
-    assert [read_frame(stream) for _ in documents] == documents
-    assert read_frame(stream) is None  # clean EOF at a frame boundary
-
-
-def test_stream_torn_mid_payload_raises():
-    stream = io.BytesIO()
-    write_frame(stream, {"k": "v" * 50})
-    torn = io.BytesIO(stream.getvalue()[:-3])
-    with pytest.raises(WireError):
-        read_frame(torn)
-
-
-def test_stream_torn_mid_header_raises():
-    stream = io.BytesIO()
-    write_frame(stream, {"k": 1})
-    torn = io.BytesIO(stream.getvalue()[: HEADER_SIZE - 2])
-    with pytest.raises(WireError):
-        read_frame(torn)
 
 
 # -- envelopes -----------------------------------------------------------------
