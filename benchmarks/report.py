@@ -110,49 +110,6 @@ def telemetry_overhead():
     ]
 
 
-def process_backend():
-    """Mono vs 4-shard-thread vs 4-shard-process data plane (PR 10).
-
-    Read from ``BENCH_pr10.json`` (``benchmarks/bench_e18_proc.py``);
-    one row per configuration plus the speedup row the multi-core gate
-    judges (skipped with a note on single-core hosts).
-    """
-    path = REPO_ROOT / "BENCH_pr10.json"
-    try:
-        document = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return [{"mode": "run benchmarks/bench_e18_proc.py --write first",
-                 "ask_rps": "-", "ask_p50_ms": "-", "ask_p99_ms": "-",
-                 "ask_all_rps": "-", "ask_all_p50_ms": "-"}]
-
-    def row(mode, run):
-        ask, ask_all = run["ask"], run.get("ask_all")
-        return {
-            "mode": mode,
-            "ask_rps": ask["rps"],
-            "ask_p50_ms": ask["p50_ms"],
-            "ask_p99_ms": ask["p99_ms"],
-            "ask_all_rps": ask_all["rps"] if ask_all else "-",
-            "ask_all_p50_ms": ask_all["p50_ms"] if ask_all else "-",
-        }
-
-    criteria = document["criteria"]
-    rows = [
-        row("mono (1 engine)", document["mono"]),
-        row(f"thread x{document['shards']}", document["thread"]),
-        row(f"process x{document['shards']}", document["process"]),
-    ]
-    rows.append({
-        "mode": f"process/thread ({criteria['perf_gate']})",
-        "ask_rps": "-",
-        "ask_p50_ms": f"{criteria['ask_p50_ratio_x']}x",
-        "ask_p99_ms": "-",
-        "ask_all_rps": f"{criteria['ask_all_speedup_x']}x",
-        "ask_all_p50_ms": "-",
-    })
-    return rows
-
-
 def main(argv):
     wanted = [w.upper() for w in argv[1:]]
     for key, (title, fn) in EXPERIMENTS.items():
@@ -164,10 +121,6 @@ def main(argv):
         series.print_table("perf trajectory (BENCH_*.json)", perf_trajectory())
         series.print_table(
             "telemetry overhead (/ask, BENCH_pr8.json)", telemetry_overhead()
-        )
-        series.print_table(
-            "shard backends (mono/thread/process, BENCH_pr10.json)",
-            process_backend(),
         )
     return 0
 

@@ -54,7 +54,7 @@
                                               # 'catalog/product/price[<300]'
     python -m repro serve [--host H] [--port P] [--session NAME]
                           [--root DIR] [--products N] [--seed N]
-                          [--shards N] [--backend thread|process]
+                          [--shards N] [--backend thread]
                           [--no-caches] [--request-log FILE]
                           [--flight-ring N] [--slow-ms MS] [--head-rate R]
                           [--degrade-on-burn] [--once]
@@ -70,9 +70,8 @@
                                               # (docs/CLUSTER.md): /ask takes
                                               # session=KEY (routed) or none
                                               # (fleet-wide union);
-                                              # --backend process hosts each
-                                              # shard in a worker process
-                                              # (multi-core data plane);
+                                              # --backend takes only thread
+                                              # (docs/PERFORMANCE.md);
                                               # --flight-ring sizes the trace
                                               # ring, --slow-ms the slow-trace
                                               # / latency-SLO threshold,
@@ -641,13 +640,10 @@ def _serve_cmd(args: list[str]) -> int:
     for the lifetime of the server).  With ``--shards N`` (N > 1) a
     sharded webhouse pool is served instead (docs/CLUSTER.md): ``/ask``
     routes ``session=KEY`` through the consistent-hash ring and answers
-    fleet-wide without one.  ``--backend process`` hosts each shard in
-    its own spawned worker process (real CPU parallelism; implies
-    cluster mode even at ``--shards 1``).  ``--once`` starts the
-    server, probes every endpoint from inside the process — plus a
-    process-backend spawn/route probe, catching wire-format drift —
-    prints the report and exits nonzero on any failure, no sleep/poll
-    loop needed.
+    fleet-wide without one.  Every shard runs in this process
+    (docs/PERFORMANCE.md records why).  ``--once`` starts the server,
+    probes every endpoint from inside the process, prints the report
+    and exits nonzero on any failure, no sleep/poll loop needed.
     """
     import json
 
@@ -662,14 +658,13 @@ def _serve_cmd(args: list[str]) -> int:
         hosted_webhouse,
         self_check,
     )
-    from .cluster import BACKENDS
-    from .ops.server import _CLUSTER_PROBES, proc_self_check
+    from .ops.server import _CLUSTER_PROBES
     from .store import SessionStore, StoreError
 
     usage = (
         "usage: python -m repro serve [--host H] [--port P] [--session NAME] "
         "[--root DIR] [--products N] [--seed N] [--shards N] "
-        "[--backend thread|process] [--no-caches] "
+        "[--backend thread] [--no-caches] "
         "[--request-log FILE] [--flight-ring N] [--slow-ms MS] "
         "[--head-rate R] [--degrade-on-burn] [--fault-plan SPEC] [--once]"
     )
@@ -697,20 +692,22 @@ def _serve_cmd(args: list[str]) -> int:
             raise ValueError(usage)
         if shards < 1:
             raise ValueError("--shards needs a positive count")
-        if backend not in BACKENDS:
-            raise ValueError(f"--backend must be one of {'|'.join(BACKENDS)}")
+        if backend != "thread":
+            raise ValueError(
+                f"--backend {backend!r} is not available: only 'thread' "
+                "remains (see docs/PERFORMANCE.md)"
+            )
         if flight_ring < 1:
             raise ValueError("--flight-ring needs a positive capacity")
         if slow_ms <= 0:
             raise ValueError("--slow-ms needs a positive threshold")
         if not 0.0 <= head_rate <= 1.0:
             raise ValueError("--head-rate must be within [0, 1]")
-        cluster_mode = shards > 1 or backend == "process"
+        cluster_mode = shards > 1
         if cluster_mode and session_name is not None:
             raise ValueError(
                 "--session hosts one durable session; it cannot be combined "
-                "with --shards/--backend process (cluster sessions are "
-                "keyed per request)"
+                "with --shards (cluster sessions are keyed per request)"
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -735,10 +732,7 @@ def _serve_cmd(args: list[str]) -> int:
     try:
         if cluster_mode:
             cluster, source = demo_cluster(
-                shards,
-                products,
-                seed=None if seed is None else int(seed),
-                backend=backend,
+                shards, products, seed=None if seed is None else int(seed)
             )
         elif session_name is not None:
             webhouse, source = hosted_webhouse(store, session_name)
@@ -770,12 +764,6 @@ def _serve_cmd(args: list[str]) -> int:
             ok, report = self_check(
                 server.url, probes=_CLUSTER_PROBES if cluster is not None else None
             )
-            # always exercise the process backend too (spawn 2 workers,
-            # route one /ask, check shard attribution) — CI's guard
-            # against wire-format drift, even when serving threads
-            proc_ok, proc_report = proc_self_check()
-            ok = ok and proc_ok
-            report = list(report) + list(proc_report)
             print(
                 json.dumps(
                     {"url": server.url, "ok": ok, "probes": report},
@@ -786,11 +774,7 @@ def _serve_cmd(args: list[str]) -> int:
             server.stop()
             return 0 if ok else 1
         server._bind()
-        mode = (
-            f"{shards} shards, {backend} backend"
-            if cluster is not None
-            else "single engine"
-        )
+        mode = f"{shards} shards" if cluster is not None else "single engine"
         print(
             f"repro ops plane listening on {server.url} ({mode})", file=sys.stderr
         )

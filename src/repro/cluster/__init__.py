@@ -6,7 +6,7 @@ own history — sessions never share state, so the warehouse scales out
 by *grouping* sessions, not by splitting any one session's knowledge.
 
 This package is that grouping, zero-dependency like the rest of the
-repo.  One shard host sits behind two transports:
+repo, with every shard in this interpreter:
 
 * :class:`~repro.cluster.host.ShardHost` — one shard's engines and
   durable namespace, and the only implementation of every shard op
@@ -14,19 +14,9 @@ repo.  One shard host sits behind two transports:
   ``stats``, ``apply_remedy``): journal resume at start, exactly-once
   dedupe of a re-sent pair, and rebuild-from-journal when a write
   fails.
-* :class:`~repro.cluster.host.LocalTransport` — the in-process
-  transport (``backend="thread"``): each host behind a
-  writer-preferring :class:`~repro.cluster.locks.RWLock`, reads shared
-  and writes exclusive, live objects and no codec.
-* :class:`~repro.cluster.proc.ProcWorkerPool` — the pipe transport
-  (``backend="process"``): one spawned worker process per shard runs
-  the same host, args and results cross in ``store.codec`` JSON inside
-  :mod:`~repro.cluster.wire` frames (length-prefixed, CRC-checked), and
-  a dead worker is respawned — engines revived from the journal —
-  before its error re-raises.
-
-Around them, with one body each whichever transport is in use:
-
+* :class:`~repro.cluster.locks.RWLock` — the writer-preferring
+  readers-writer lock each shard holds beside its host: reads shared,
+  writes exclusive.
 * :class:`~repro.cluster.ring.Router` — consistent-hash routing of
   session keys onto shard indices; stable across processes (BLAKE2b,
   not ``hash()``) and cheap to resize (~1/(n+1) keys move).
@@ -42,38 +32,28 @@ Around them, with one body each whichever transport is in use:
   :data:`RETRYABLE_ERRORS` tuple), latency sketches, keyed
   ``record``/``ask``/``answer`` plus fleet-wide ``ask_all`` /
   ``stats_all`` / ``apply_remedy`` whose certain-answer union is
-  invariant under the shard count — and under the transport.
+  invariant under the shard count.  It calls each host's methods
+  directly under that shard's lock.
 
 See ``docs/CLUSTER.md`` for routing, rebalancing, admission control,
-and failure modes; ``repro serve --shards N --backend process`` puts
-the pool behind the HTTP ops plane.
+and failure modes; ``repro serve --shards N`` puts the pool behind the
+HTTP ops plane.
 """
 
 from __future__ import annotations
 
 from .admission import AdmissionController, POLICIES, ShardOverloaded
 from .executor import Executor, TaskOutcome
-from .host import RETRYABLE_ERRORS, LocalTransport, ShardHost
+from .host import RETRYABLE_ERRORS, ShardHost
 from .locks import RWLock
-from .proc import (
-    ProcWorkerPool,
-    WorkerConfig,
-    WorkerError,
-    WorkerFault,
-    WorkerUnavailable,
-)
 from .ring import DEFAULT_REPLICAS, Router, stable_hash
-from .sharded import BACKENDS, ResiliencePolicy, Shard, ShardedWebhouse
-from .wire import WireError
+from .sharded import ResiliencePolicy, Shard, ShardedWebhouse
 
 __all__ = [
     "AdmissionController",
-    "BACKENDS",
     "DEFAULT_REPLICAS",
     "Executor",
-    "LocalTransport",
     "POLICIES",
-    "ProcWorkerPool",
     "RETRYABLE_ERRORS",
     "ResiliencePolicy",
     "RWLock",
@@ -83,10 +63,5 @@ __all__ = [
     "ShardedWebhouse",
     "ShardOverloaded",
     "TaskOutcome",
-    "WireError",
-    "WorkerConfig",
-    "WorkerError",
-    "WorkerFault",
-    "WorkerUnavailable",
     "stable_hash",
 ]

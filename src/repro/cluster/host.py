@@ -7,22 +7,10 @@ durable, the shard's ``SessionStore.shard(i)`` namespace.
 :class:`ShardHost` owns that world and is the single body of
 ``record``, ``ask``, ``answer``, ``answer_all``, ``keys``, ``stats``
 and ``apply_remedy``.  It works on live paper objects and knows
-nothing of locks, retries or processes.
-
-:class:`~repro.cluster.sharded.ShardedWebhouse` reaches a host only
-through a transport's ``call(shard, op, args, deadline)``, and there
-are two:
-
-* :class:`LocalTransport` — in this process: a per-shard
-  :class:`~repro.cluster.locks.RWLock` around each host (reads share,
-  writes exclude) and no codec on the path;
-* :class:`~repro.cluster.proc.ProcWorkerPool` — over a pipe: one
-  worker process per shard runs the same host, with ``store.codec`` at
-  both ends.
-
-Because both run the same host, a shard does the same work whichever
-transport carries the call, and the certain answers cannot depend on
-the backend (``tests/test_proc.py``).
+nothing of locks or retries: :class:`~repro.cluster.sharded.Shard`
+holds it beside its :class:`~repro.cluster.locks.RWLock`, and
+:class:`~repro.cluster.sharded.ShardedWebhouse` calls its methods
+directly under that lock.
 """
 
 from __future__ import annotations
@@ -33,40 +21,21 @@ from ..core.query import PSQuery
 from ..core.tree import DataTree
 from ..core.treetype import TreeType
 from ..faults.inject import FaultInjected
-from ..faults.policies import Deadline
 from ..mediator.source import InMemorySource
 from ..mediator.webhouse import Webhouse
 from ..obs.state import STATE as _OBS
 from ..store.journal import JournalError
 from ..store.session import StoreError
-from .locks import RWLock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.session import SessionStore
 
 #: Errors worth retrying and counting against a shard's breaker:
 #: injected faults and the store-layer failures they (or real disks)
-#: surface as.  A transport's own transient failures join through
-#: ``OSError`` (the pipe's dead-worker error is a ``ConnectionError``).
-#: Deliberate control decisions — admission shedding, validation — are
-#: excluded: retrying them would amplify load, not absorb a glitch.
+#: surface as, ``OSError`` included.  Deliberate control decisions —
+#: admission shedding, validation — are excluded: retrying them would
+#: amplify load, not absorb a glitch.
 RETRYABLE_ERRORS = (FaultInjected, JournalError, StoreError, OSError)
-
-#: The latency families keyed operations are sketched under.
-SHARD_OPS = ("record", "ask", "answer")
-
-#: Every shard op -> (mutates the shard, latency family or ``None``).
-#: The in-process transport picks its lock side from the first field;
-#: a worker files its service time under the second.
-OPS: Dict[str, Tuple[bool, Optional[str]]] = {
-    "record": (True, "record"),
-    "ask": (True, "ask"),
-    "apply_remedy": (True, None),
-    "answer": (False, "answer"),
-    "answer_all": (False, "answer"),
-    "keys": (False, None),
-    "stats": (False, None),
-}
 
 
 class ShardHost:
@@ -236,45 +205,4 @@ class ShardHost:
                 engine.detach()
 
 
-class LocalTransport:
-    """Shard hosts in this process, each behind its own RWLock."""
-
-    def __init__(self, hosts: List[ShardHost]):
-        self.hosts = hosts
-        self._locks = [RWLock() for _ in hosts]
-
-    def call(
-        self,
-        shard: int,
-        op: str,
-        args: Dict[str, object],
-        deadline: Optional[Deadline] = None,
-    ) -> object:
-        """Run ``op`` on shard's host: writes exclusive, reads shared."""
-        if deadline is not None:
-            deadline.require(f"shard {shard} {op}")
-        lock = self._locks[shard]
-        if OPS[op][0]:
-            with lock.write_locked():
-                return getattr(self.hosts[shard], op)(**args)
-        with lock.read_locked():
-            return getattr(self.hosts[shard], op)(**args)
-
-    def engines(self, shard: int) -> Dict[str, Webhouse]:
-        """A snapshot of shard's live engines (read lock)."""
-        with self._locks[shard].read_locked():
-            return dict(self.hosts[shard].engines)
-
-    def close(self) -> None:
-        for host, lock in zip(self.hosts, self._locks):
-            with lock.write_locked():
-                host.close()
-
-
-__all__ = [
-    "LocalTransport",
-    "OPS",
-    "RETRYABLE_ERRORS",
-    "SHARD_OPS",
-    "ShardHost",
-]
+__all__ = ["RETRYABLE_ERRORS", "ShardHost"]

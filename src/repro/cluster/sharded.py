@@ -32,21 +32,13 @@ per-session sure answers then share the document root and compose with
 :func:`~repro.mediator.local_query.overlay`.  Sessions over genuinely
 different documents should be queried per key, not fleet-wide.
 
-Backends
---------
-
-Every shard op has one implementation, in ``ShardHost``; the pool
-reaches shards only through a transport's ``call(shard, op, args,
-deadline)``.  ``backend="thread"`` (default) picks the in-process
-:class:`~repro.cluster.host.LocalTransport` — each host behind its own
-readers-writer lock, cheap, but all Refine and answering work shares
-one GIL.  ``backend="process"`` picks the pipe transport
-(:class:`~repro.cluster.proc.ProcWorkerPool`): each shard's host runs
-in its own worker process and owns its durable ``SessionStore.shard(i)``
-namespace.  The backend string is read once, here in the constructor;
-routing, admission, breakers and retries, latency sketches, the
-degraded ``ask_all`` and the rollups are shared, and the
-certain-answer invariance suite runs against both backends.
+Every shard op has one implementation, in
+:class:`~repro.cluster.host.ShardHost`.  Each :class:`Shard` holds its
+host beside a readers-writer lock, and the pool calls host methods
+directly under it: ``record``, ``ask`` and ``apply_remedy`` exclusive,
+``answer``, ``answer_all``, ``keys`` and ``stats`` shared.  Every shard
+lives in this interpreter, so Refine and answering work share one GIL;
+``docs/PERFORMANCE.md`` records why no process boundary is drawn.
 """
 
 from __future__ import annotations
@@ -54,15 +46,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..core.query import PSQuery
 from ..core.tree import DataTree
@@ -74,19 +58,19 @@ from ..mediator.webhouse import Webhouse
 from ..obs.sketch import QuantileSketch
 from ..obs.spans import reset_shard, set_shard, span as _span
 from ..obs.state import STATE as _OBS
-from ..perf import caches_enabled
-from ..store.codec import treetype_to_json
 from .admission import AdmissionController
 from .executor import Executor
-from .host import RETRYABLE_ERRORS, SHARD_OPS, LocalTransport, ShardHost
-from .proc import ProcWorkerPool, WorkerConfig
+from .host import RETRYABLE_ERRORS, ShardHost
+from .locks import RWLock
 from .ring import DEFAULT_REPLICAS, Router
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.session import SessionStore
 
-#: The execution backends :class:`ShardedWebhouse` supports.
-BACKENDS = ("thread", "process")
+#: The latency families keyed operations are sketched under.
+SHARD_OPS = ("record", "ask", "answer")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -95,9 +79,8 @@ class ResiliencePolicy:
 
     * ``retry`` wraps every keyed operation (``record``/``ask``/
       ``answer``): a transient failure is retried — after the host has
-      rebuilt a wedged engine from its journal, or the pipe transport
-      has respawned a dead worker — so one torn write does not surface
-      to the caller.
+      rebuilt a wedged engine from its journal — so one torn write does
+      not surface to the caller.
     * ``breaker_*`` parameterize the per-shard circuit breakers: after
       ``breaker_failures`` consecutive unabsorbed failures a shard
       refuses keyed operations (:class:`CircuitOpen` → HTTP 503) for
@@ -122,18 +105,29 @@ def _validate_key(key: str) -> str:
 
 
 class Shard:
-    """The router's books for one shard: latency sketches and breaker."""
+    """One shard: its host and lock, latency sketches and breaker."""
 
-    __slots__ = ("index", "sketches", "breaker")
+    __slots__ = ("index", "host", "lock", "sketches", "breaker")
 
-    def __init__(self, index: int, breaker: CircuitBreaker):
-        self.index = index
+    def __init__(self, host: ShardHost, breaker: CircuitBreaker):
+        self.index = host.index
+        self.host = host
+        self.lock = RWLock()
         #: op name -> latency sketch (always-on; the sketches carry
         #: their own locks)
         self.sketches: Dict[str, QuantileSketch] = {
             op: QuantileSketch() for op in SHARD_OPS
         }
         self.breaker = breaker
+
+    def run(self, call: Callable[[ShardHost], T], *, write: bool = False) -> T:
+        """``call(host)`` under the shard lock: writes exclusive, reads
+        shared."""
+        if write:
+            with self.lock.write_locked():
+                return call(self.host)
+        with self.lock.read_locked():
+            return call(self.host)
 
     def __repr__(self) -> str:
         return f"Shard({self.index}, breaker={self.breaker.state!r})"
@@ -157,21 +151,11 @@ class ShardedWebhouse:
         store: Optional["SessionStore"] = None,
         latency_probe: Optional[Callable[[int, str, float], None]] = None,
         resilience: Optional[ResiliencePolicy] = None,
-        backend: str = "thread",
-        worker_timeout_s: float = 30.0,
     ):
         if router is not None and router.shards != shards:
             raise ValueError(
                 f"router covers {router.shards} shards, cluster has {shards}"
             )
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r} (expected {BACKENDS})")
-        if backend == "process" and factory is not None:
-            raise ValueError(
-                "backend='process' cannot use a live factory; workers "
-                "rebuild engines from (alphabet, tree_type, auto_minimize)"
-            )
-        self._backend = backend
         self._alphabet = sorted(set(alphabet))
         self._tree_type = tree_type
         self._auto_minimize = auto_minimize
@@ -185,7 +169,14 @@ class ShardedWebhouse:
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         self._shards: List[Shard] = [
             Shard(
-                index,
+                ShardHost(
+                    index,
+                    self._alphabet,
+                    tree_type,
+                    auto_minimize=auto_minimize,
+                    store=None if store is None else store.shard(index),
+                    factory=factory,
+                ),
                 CircuitBreaker(
                     f"shard-{index}",
                     failure_threshold=self.resilience.breaker_failures,
@@ -198,57 +189,12 @@ class ShardedWebhouse:
         #: seconds) — benchmarks use it to pool the exact raw durations
         #: the shard sketches saw, for ground-truth quantile comparison.
         self.latency_probe = latency_probe
-        substores = [
-            None if store is None else store.shard(index) for index in range(shards)
-        ]
-        self._pool: Optional[ProcWorkerPool] = None
-        if backend == "process":
-            self._pool = ProcWorkerPool(
-                [
-                    WorkerConfig(
-                        shard=index,
-                        alphabet=tuple(self._alphabet),
-                        tree_type_json=(
-                            None if tree_type is None else treetype_to_json(tree_type)
-                        ),
-                        auto_minimize=auto_minimize,
-                        store_root=None if sub is None else sub.root,
-                        snapshot_every=(
-                            store.snapshot_every if store is not None else 32
-                        ),
-                        obs_enabled=_OBS.enabled,
-                        caches_enabled=caches_enabled(),
-                    )
-                    for index, sub in enumerate(substores)
-                ],
-                request_timeout_s=worker_timeout_s,
-            ).start()
-            self._transport = self._pool
-        else:
-            self._transport = LocalTransport(
-                [
-                    ShardHost(
-                        index,
-                        self._alphabet,
-                        tree_type,
-                        auto_minimize=auto_minimize,
-                        store=sub,
-                        factory=factory,
-                    )
-                    for index, sub in enumerate(substores)
-                ]
-            )
 
     # -- routing ----------------------------------------------------------------
 
     @property
     def shards(self) -> int:
         return len(self._shards)
-
-    @property
-    def backend(self) -> str:
-        """The execution backend: ``"thread"`` or ``"process"``."""
-        return self._backend
 
     def shard_of(self, key: str) -> int:
         """The shard index that owns ``key`` (stable across processes)."""
@@ -260,20 +206,20 @@ class ShardedWebhouse:
 
     # -- keyed operations -------------------------------------------------------
 
-    def _keyed(self, op: str, key: str, args: Dict[str, object]) -> Dict[str, object]:
+    def _keyed(
+        self, op: str, key: str, call: Callable[[ShardHost], T], *, write: bool = False
+    ) -> T:
         """Route one keyed op: admission, span, breaker + retry, sketch.
 
         Every keyed op — read or write — takes the same path.  Only
         :data:`RETRYABLE_ERRORS` are retried or counted against the
         breaker; admission shedding and validation errors pass straight
         through.  A retry needs no revival step here: the host rebuilds
-        a wedged engine from its journal, and the pipe transport
-        respawns a dead worker, before the error reaches this loop.
-        Shed operations are *not* sketched — a refused request has no
-        service latency; admission books count it instead.
+        a wedged engine from its journal before the error reaches this
+        loop.  Shed operations are *not* sketched — a refused request
+        has no service latency; admission books count it instead.
         """
         shard = self._shards[self.shard_of(key)]
-        args = dict(args, key=key)
         with self.admission.admit(shard.index):
             started = time.perf_counter()
             token = set_shard(shard.index)
@@ -284,7 +230,7 @@ class ShardedWebhouse:
                         raise CircuitOpen(breaker.name, breaker.cooldown_s)
                     try:
                         value = self.resilience.retry.call(
-                            lambda: self._transport.call(shard.index, op, args),
+                            lambda: shard.run(call, write=write),
                             retry_on=RETRYABLE_ERRORS,
                         )
                     except RETRYABLE_ERRORS:
@@ -301,11 +247,13 @@ class ShardedWebhouse:
 
     def record(self, key: str, query: PSQuery, answer: DataTree) -> None:
         """Refine session ``key``'s knowledge with one pair (write path)."""
-        self._keyed("record", key, {"query": query, "answer": answer})
+        self._keyed(
+            "record", key, lambda host: host.record(key, query, answer), write=True
+        )
 
     def ask(self, key: str, source: InMemorySource, query: PSQuery) -> DataTree:
         """Query the source for session ``key`` and fold the answer in."""
-        return self._keyed("ask", key, {"source": source, "query": query})["answer"]
+        return self.ask_info(key, source, query)["answer"]
 
     def answer(self, key: str, query: PSQuery) -> Tuple[DataTree, bool]:
         """Session ``key``'s certain answer with caveat flag (read path).
@@ -314,7 +262,7 @@ class ShardedWebhouse:
         ``may_have_more=True`` — *without* creating an engine, so probe
         traffic cannot grow the pool.
         """
-        info = self._keyed("answer", key, {"query": query})
+        info = self.answer_info(key, query)
         return info["sure"], info["may_have_more"]
 
     def answer_info(self, key: str, query: PSQuery) -> Dict[str, object]:
@@ -327,24 +275,21 @@ class ShardedWebhouse:
         ``sure``, ``may_have_more``, ``shard``, ``knowledge_size``,
         ``queries_recorded``.
         """
-        return self._keyed("answer", key, {"query": query})
+        return self._keyed("answer", key, lambda host: host.answer(key, query))
 
     def ask_info(
         self, key: str, source: InMemorySource, query: PSQuery
     ) -> Dict[str, object]:
         """:meth:`ask` plus the session's books (``answer``, ``shard``,
         ``knowledge_size``, ``queries_recorded``), one round trip."""
-        return self._keyed("ask", key, {"source": source, "query": query})
+        return self._keyed(
+            "ask", key, lambda host: host.ask(key, source, query), write=True
+        )
 
     def engine(self, key: str) -> Optional[Webhouse]:
-        """The engine behind ``key``, if the session exists (read lock).
-
-        Process backend: engines live in worker processes; there is no
-        local object to hand out, so this raises
-        ``NotImplementedError`` — callers that need per-session books
-        should use :meth:`answer_info` instead.
-        """
-        return self._transport.engines(self.shard_of(key)).get(key)
+        """The engine behind ``key``, if the session exists (read lock)."""
+        shard = self._shards[self.shard_of(key)]
+        return shard.run(lambda host: host.engines.get(key))
 
     # -- fleet operations -------------------------------------------------------
 
@@ -393,9 +338,9 @@ class ShardedWebhouse:
 
             def per_shard(_pos: int, shard: Shard) -> List[Tuple[str, DataTree, bool]]:
                 with self.admission.admit(shard.index):
-                    return self._transport.call(
-                        shard.index, "answer_all", {"query": query}, deadline
-                    )
+                    if deadline is not None:
+                        deadline.require(f"shard {shard.index} answer_all")
+                    return shard.run(lambda host: host.answer_all(query))
 
             outcomes = self.executor.scatter_outcomes(live, per_shard, deadline=deadline)
             rows: List[Tuple[str, DataTree, bool]] = []
@@ -439,8 +384,8 @@ class ShardedWebhouse:
         with _span("cluster.apply_remedy", remedy=remedy):
             self.executor.scatter(
                 self._shards,
-                lambda _pos, shard: self._transport.call(
-                    shard.index, "apply_remedy", {"remedy": remedy}
+                lambda _pos, shard: shard.run(
+                    lambda host: host.apply_remedy(remedy), write=True
                 ),
             )
 
@@ -465,16 +410,12 @@ class ShardedWebhouse:
         stats, and merged fleet latency quantiles per keyed operation.
 
         A shard that cannot answer degrades the rollup (zero books plus
-        an ``error``), never fails it.  Under the process backend each
-        row also carries its ``worker`` (pid, alive, restarts) and the
-        rollup adds the workers' service-time quantiles.
+        an ``error``), never fails it.
         """
         with _span("cluster.stats_all", shards=len(self._shards)):
             outcomes = self.executor.scatter_outcomes(
-                self._shards,
-                lambda _pos, shard: self._transport.call(shard.index, "stats", {}),
+                self._shards, lambda _pos, shard: shard.run(ShardHost.stats)
             )
-            workers = {row["shard"]: row for row in self.worker_stats()}
             admission = self.admission.stats()
             per_shard_stats: List[Dict[str, object]] = []
             for shard, outcome, gate in zip(self._shards, outcomes, admission):
@@ -490,19 +431,13 @@ class ShardedWebhouse:
                         "knowledge_size": 0,
                         "error": f"{type(error).__name__}: {error}",
                     }
-                worker = workers.get(shard.index)
-                if worker is not None:
-                    stats["worker"] = {
-                        name: worker[name] for name in ("pid", "alive", "restarts")
-                    }
                 stats["admission"] = {
                     name: count for name, count in gate.items() if name != "shard"
                 }
                 stats["breaker"] = shard.breaker.stats()
                 per_shard_stats.append(stats)
-            rollup: Dict[str, object] = {
+            return {
                 "shards": len(self._shards),
-                "backend": self._backend,
                 "sessions": sum(s["sessions"] for s in per_shard_stats),
                 "queries_recorded": sum(
                     s["queries_recorded"] for s in per_shard_stats
@@ -515,41 +450,23 @@ class ShardedWebhouse:
                     if sketch.count
                 },
             }
-            worker_sketches = self.worker_sketches()
-            if worker_sketches:
-                # worker-side *service* time, next to the router-side
-                # round-trip latency above; the gap between them is the
-                # wire + scheduling overhead of the process hop
-                rollup["worker_latency"] = {
-                    op: sketch.summary()
-                    for op, sketch in worker_sketches.items()
-                    if sketch.count
-                }
-            return rollup
 
     # -- inventory --------------------------------------------------------------
 
-    def _inventory(self, op: str) -> List[object]:
-        """Every reachable shard's ``op`` result; an unreachable one
-        drops out."""
-        results: List[object] = []
-        for shard in self._shards:
-            try:
-                results.append(self._transport.call(shard.index, op, {}))
-            except RETRYABLE_ERRORS:
-                continue
-        return results
-
     def sessions(self) -> List[str]:
         """All session keys, sorted."""
-        return sorted(key for keys in self._inventory("keys") for key in keys)
+        return sorted(
+            key for shard in self._shards for key in shard.run(ShardHost.keys)
+        )
 
     def size(self) -> int:
         """Total maintained knowledge size across every session."""
-        return sum(row["knowledge_size"] for row in self._inventory("stats"))
+        return sum(
+            shard.run(ShardHost.stats)["knowledge_size"] for shard in self._shards
+        )
 
     def __len__(self) -> int:
-        return sum(len(keys) for keys in self._inventory("keys"))
+        return sum(shard.run(lambda host: len(host.engines)) for shard in self._shards)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -559,13 +476,15 @@ class ShardedWebhouse:
         Consistent hashing keeps most keys in place: growing ``n`` to
         ``n+1`` moves an expected ``1/(n+1)`` of the sessions.  Returns
         the new cluster and the keys that changed shard (the rebalance
-        cost a deployment would pay in session migrations).  Engines
-        move by reference — in-memory only; durable namespaces are not
-        relocated (a restart against the store re-resumes into the new
-        layout's directories).  The process backend raises
-        ``NotImplementedError``: its engines live in worker processes.
+        cost a deployment would pay in session migrations).  The
+        resilience policy, latency probe and admission settings carry
+        over, the admission budget onto a controller sized for
+        ``shards``.  Engines move by reference — in-memory only;
+        durable namespaces are not relocated (a restart against the
+        store re-resumes into the new layout's directories).
         """
-        engines = [self._transport.engines(shard.index) for shard in self._shards]
+        engines = [shard.run(lambda host: dict(host.engines)) for shard in self._shards]
+        admission = self.admission
         new = ShardedWebhouse(
             self._alphabet,
             tree_type=self._tree_type,
@@ -574,45 +493,39 @@ class ShardedWebhouse:
             replicas=self.router.replicas,
             factory=self._factory,
             router=self.router.resized(shards),
+            admission=AdmissionController(
+                shards,
+                max_in_flight=admission.max_in_flight,
+                policy=admission.policy,
+                wait_timeout_s=admission.wait_timeout_s,
+            ),
+            latency_probe=self.latency_probe,
+            resilience=self.resilience,
         )
         moved: List[str] = []
         for index, shard_engines in enumerate(engines):
             for key, engine in shard_engines.items():
                 target = new.router.route(key)
-                new._transport.hosts[target].engines[key] = engine
+                new._shards[target].host.engines[key] = engine
                 if target != index:
                     moved.append(key)
         return new, sorted(moved)
 
-    def worker_sketches(self) -> Dict[str, QuantileSketch]:
-        """Worker-side service-time sketches (empty under ``thread``)."""
-        return self._pool.worker_sketches() if self._pool is not None else {}
-
-    def worker_stats(self) -> List[Dict[str, object]]:
-        """Per-worker lifecycle books (empty under ``thread``)."""
-        return self._pool.stats() if self._pool is not None else []
-
-    def pool(self) -> Optional[ProcWorkerPool]:
-        """The worker pool (process backend only; ``None`` for thread)."""
-        return self._pool
-
     def close(self) -> None:
-        """Detach durable sessions, stop workers, and stop the executor
-        (if owned)."""
-        self._transport.close()
+        """Detach durable sessions and stop the executor (if owned)."""
+        for shard in self._shards:
+            shard.run(ShardHost.close, write=True)
         if self._owns_executor:
             self.executor.shutdown()
 
     def __repr__(self) -> str:
         return (
             f"ShardedWebhouse(shards={len(self._shards)}, "
-            f"backend={self._backend!r}, sessions={len(self)}, "
-            f"policy={self.admission.policy!r})"
+            f"sessions={len(self)}, policy={self.admission.policy!r})"
         )
 
 
 __all__ = [
-    "BACKENDS",
     "RETRYABLE_ERRORS",
     "ResiliencePolicy",
     "SHARD_OPS",

@@ -221,21 +221,6 @@ class Metrics:
     def counters(self) -> Dict[str, Number]:
         return {name: c.value for name, c in sorted(self._counters.items())}
 
-    def merge_counts(self, book: Dict[str, Number]) -> None:
-        """Fold a counter **delta** book into this registry.
-
-        The cross-process merge half of the telemetry plane: shard
-        workers push the counter increments accrued since their last
-        response (:mod:`repro.cluster.proc`), and the router folds them
-        here so fleet-wide ``/metrics`` totals include worker-side
-        engine work.  Deltas — never absolute snapshots — keep the fold
-        idempotent-free and respawn-safe: a fresh worker simply starts
-        a new delta stream.
-        """
-        for name, amount in book.items():
-            if amount:
-                self.counter(name).inc(amount)
-
     def gauges(self) -> Dict[str, Number]:
         return {name: g.value for name, g in sorted(self._gauges.items())}
 

@@ -33,7 +33,6 @@ from .server import (
     demo_webhouse,
     drive_request,
     hosted_webhouse,
-    proc_self_check,
     self_check,
 )
 from .trace import TraceHandle, new_trace_id, request_trace
@@ -49,7 +48,6 @@ __all__ = [
     "drive_request",
     "hosted_webhouse",
     "new_trace_id",
-    "proc_self_check",
     "request_trace",
     "self_check",
 ]

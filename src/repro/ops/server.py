@@ -158,7 +158,6 @@ def demo_cluster(
     products: int = 8,
     seed: Optional[int] = None,
     tenants: int = 0,
-    backend: str = "thread",
 ) -> Tuple[ShardedWebhouse, InMemorySource]:
     """An in-memory sharded catalog pool + source for cluster serving.
 
@@ -167,8 +166,6 @@ def demo_cluster(
     ``tenant-N`` so several shards hold knowledge from the first
     scrape.  All sessions observe the same generated document — the
     Section 1 scenario — so fleet-wide ``/ask`` unions compose.
-    ``backend="process"`` spawns one worker process per shard
-    (:mod:`repro.cluster.proc`) instead of sharing this interpreter.
     """
     from ..workloads.catalog import (
         CATALOG_ALPHABET,
@@ -180,9 +177,7 @@ def demo_cluster(
     tree_type = catalog_type()
     document = generate_catalog(products, seed=7 if seed is None else seed)
     source = InMemorySource(document, tree_type)
-    cluster = ShardedWebhouse(
-        CATALOG_ALPHABET, tree_type=tree_type, shards=shards, backend=backend
-    )
+    cluster = ShardedWebhouse(CATALOG_ALPHABET, tree_type=tree_type, shards=shards)
     cluster.ask("demo", source, query1())
     for tenant in range(tenants):
         cluster.ask(f"tenant-{tenant}", source, query1())
@@ -571,12 +566,6 @@ class OpsServer:
                         f"shard.{index}.admitted", admission["admitted"]
                     )
                     _OBS.metrics.set_gauge(f"shard.{index}.shed", admission["shed"])
-                    worker = stats.get("worker")
-                    if worker is not None:
-                        _OBS.metrics.set_gauge(
-                            f"shard.{index}.worker_restarts",
-                            worker.get("restarts", 0),
-                        )
             else:
                 with self._engine_lock.read_locked():
                     _OBS.metrics.set_gauge(
@@ -653,18 +642,6 @@ class OpsServer:
                     )
                     lines.append(f"# TYPE {gauge} gauge")
                     lines.append(f"{gauge} {sketch.quantile(q)!r}")
-            # process backend: worker-side service time next to the
-            # router-side round trips above (the gap is the wire hop)
-            for op, sketch in sorted(self.cluster.worker_sketches().items()):
-                if not sketch.count:
-                    continue
-                lines.extend(
-                    summary_metric_lines(
-                        f"repro_cluster_worker_{op}_seconds",
-                        f"worker-side service time for keyed {op} (process backend)",
-                        sketch,
-                    )
-                )
         return "\n".join(lines) + ("\n" if lines else "")
 
     def _handle_profile(self, params, extras) -> Tuple[int, str, str]:
@@ -975,72 +952,6 @@ def self_check(base_url: str, timeout: float = 5.0, probes=None):
     return all_ok, report
 
 
-def proc_self_check():
-    """Probe the process backend end to end, no socket required.
-
-    Spawns a 2-shard :func:`demo_cluster` with ``backend="process"``,
-    drives one routed ``/ask`` through the full in-process request
-    pipeline, and asserts the response attributes the session to the
-    shard the router computes — so ``serve --once`` (and CI) catches
-    wire-format drift, spawn breakage, or routing skew before any real
-    traffic does.  Returns ``(ok, report)`` shaped like
-    :func:`self_check` rows.
-    """
-    row = {
-        "endpoint": "proc:/ask?q=q1&session=demo",
-        "status": 0,
-        "ok": False,
-        "trace_id": None,
-        "detail": "",
-    }
-    cluster = None
-    server = None
-    try:
-        cluster, source = demo_cluster(shards=2, backend="process")
-        server = OpsServer(cluster=cluster, source=source)
-        # drive_request minus the opaque trace: the probe row reports
-        # the trace id the routed ask (and its worker hop) ran under
-        started = time.perf_counter()
-        with request_trace("ops.request", method="GET", path="/ask") as handle:
-            status, body, _ = server.dispatch(
-                "/ask", {"q": ["q1"], "session": ["demo"]}, {}
-            )
-            handle.annotate(status=status)
-        server.finish_request(
-            "GET", "/ask", status, time.perf_counter() - started, handle, {}
-        )
-        row["status"] = status
-        row["trace_id"] = handle.trace_id
-        if status != 200:
-            raise ValueError(f"status {status}: {body.strip()}")
-        document = json.loads(body)
-        expected = cluster.shard_of("demo")
-        if document.get("shard") != expected:
-            raise ValueError(
-                f"shard attribution {document.get('shard')!r} != router's {expected}"
-            )
-        if document.get("queries_recorded", 0) < 1:
-            raise ValueError("worker lost the pre-recorded demo session")
-        workers = cluster.worker_stats()
-        if sorted(w["shard"] for w in workers) != [0, 1] or not all(
-            w["alive"] for w in workers
-        ):
-            raise ValueError(f"worker fleet unhealthy: {workers}")
-        row["detail"] = (
-            f"shard {expected}, pids "
-            f"{[w['pid'] for w in sorted(workers, key=lambda w: w['shard'])]}"
-        )
-        row["ok"] = True
-    except Exception as exc:
-        row["detail"] = f"{type(exc).__name__}: {exc}"
-    finally:
-        if server is not None:
-            server.request_log.close()
-        if cluster is not None:
-            cluster.close()
-    return row["ok"], [row]
-
-
 __all__ = [
     "OpsError",
     "OpsServer",
@@ -1048,6 +959,5 @@ __all__ = [
     "demo_webhouse",
     "drive_request",
     "hosted_webhouse",
-    "proc_self_check",
     "self_check",
 ]

@@ -372,16 +372,6 @@ class SessionStore:
     def root(self) -> str:
         return self._root
 
-    @property
-    def snapshot_every(self) -> int:
-        """The snapshot cadence every session (and sub-store) inherits.
-
-        Exposed so a shard worker's :class:`~repro.cluster.proc.
-        WorkerConfig` can rebuild an equivalent store in its own
-        process from plain data.
-        """
-        return self._snapshot_every
-
     def shard(self, index: int) -> "SessionStore":
         """A namespaced sub-store for one cluster shard.
 

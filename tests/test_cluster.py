@@ -22,19 +22,21 @@ import pytest
 
 import repro.obs as obs
 from repro.cluster import (
-    BACKENDS,
     AdmissionController,
     Executor,
     Router,
     RWLock,
+    ResiliencePolicy,
     ShardedWebhouse,
     ShardOverloaded,
     stable_hash,
 )
 from repro.core.tree import DataTree
+from repro.mediator.local_query import overlay
 from repro.mediator.source import InMemorySource
 from repro.mediator.webhouse import Webhouse
 from repro.obs.sinks import NullSink
+from repro.obs.spans import current_trace_id, reset_trace_id, set_trace_id
 from repro.ops import OpsServer, demo_cluster, drive_request
 from repro.ops.server import _CLUSTER_PROBES, self_check
 from repro.store import SessionStore
@@ -278,6 +280,19 @@ class TestExecutor:
         finally:
             ex.shutdown()
 
+    def test_trace_id_crosses_thread_pool_boundary(self):
+        """Executor.submit re-binds the caller's trace id in pool threads."""
+        ex = Executor(max_workers=2)
+        try:
+            token = set_trace_id("trace-thread-pin")
+            try:
+                seen = ex.scatter([0, 1], lambda i, item: current_trace_id())
+            finally:
+                reset_trace_id(token)
+            assert seen == ["trace-thread-pin", "trace-thread-pin"]
+        finally:
+            ex.shutdown()
+
 
 # -- sharded webhouse ------------------------------------------------------------
 
@@ -390,12 +405,46 @@ class TestShardedWebhouse:
                 cluster.ask(key, source, query1())
             before = cluster.ask_all(query1())
             resized, moved = cluster.resized(5)
-            assert len(resized) == 20
-            assert len(moved) < 20  # consistent hashing: most keys stay put
-            after = resized.ask_all(query1())
-            assert _tree_facts(after[0]) == _tree_facts(before[0])
-            for key in keys:
-                assert resized.router.route(key) == resized.shard_of(key)
+            try:
+                assert len(resized) == 20
+                assert len(moved) < 20  # consistent hashing: most keys stay put
+                after = resized.ask_all(query1())
+                assert _tree_facts(after[0]) == _tree_facts(before[0])
+                for key in keys:
+                    assert resized.router.route(key) == resized.shard_of(key)
+            finally:
+                resized.close()
+        finally:
+            cluster.close()
+
+    def test_resize_keeps_resilience_admission_and_probe(self):
+        seen = []
+        resilience = ResiliencePolicy(breaker_failures=2, ask_all_deadline_s=0.5)
+        cluster = _cluster(
+            2,
+            admission=AdmissionController(
+                2, max_in_flight=3, policy="wait", wait_timeout_s=0.05
+            ),
+            latency_probe=lambda shard, op, seconds: seen.append(op),
+            resilience=resilience,
+        )
+        try:
+            resized, _ = cluster.resized(3)
+            try:
+                assert resized.resilience is resilience
+                assert resized.breaker(2).failure_threshold == 2
+                admission = resized.admission
+                assert admission is not cluster.admission
+                assert len(admission.stats()) == 3
+                assert (
+                    admission.max_in_flight,
+                    admission.policy,
+                    admission.wait_timeout_s,
+                ) == (3, "wait", 0.05)
+                resized.answer("alice", query1())
+                assert seen == ["answer"]
+            finally:
+                resized.close()
         finally:
             cluster.close()
 
@@ -509,6 +558,95 @@ class TestDurableCluster:
                 assert more == before[key][1]
         finally:
             resumed.close()
+
+    def test_resent_record_lands_once(self, tmp_path):
+        """A client re-sending the pair it just recorded does not
+        double-record it, open or after a restart."""
+        source = _catalog_source()
+        query = query1()
+        answer = source.ask(query)
+        cluster = _cluster(2, store=SessionStore(str(tmp_path)))
+        try:
+            cluster.record("alice", query, answer)
+            cluster.record("alice", query, answer)
+            assert cluster.answer_info("alice", query)["queries_recorded"] == 1
+        finally:
+            cluster.close()
+        resumed = _cluster(2, store=SessionStore(str(tmp_path)))
+        try:
+            assert resumed.answer_info("alice", query)["queries_recorded"] == 1
+        finally:
+            resumed.close()
+
+
+# -- mono reference --------------------------------------------------------------
+
+_KEYS = [f"tenant-{i}" for i in range(6)]
+
+
+def _drive(cluster: ShardedWebhouse, source):
+    """One deterministic workload; comparable per-key + fleet facts."""
+    queries = [query1(), query2(), query3()]
+    for i, key in enumerate(_KEYS):
+        cluster.ask(key, source, queries[i % 3])
+    out = []
+    for key in _KEYS:
+        sure, more = cluster.answer(key, queries[0])
+        out.append((key, _tree_facts(sure), more))
+    union, more = cluster.ask_all(queries[1])
+    out.append(("fleet", _tree_facts(union), more))
+    return out
+
+
+def _mono_reference(source):
+    """The same workload on bare per-key engines — the paper baseline."""
+    queries = [query1(), query2(), query3()]
+    engines = {}
+    for i, key in enumerate(_KEYS):
+        engine = engines.setdefault(
+            key, Webhouse(CATALOG_ALPHABET, tree_type=catalog_type())
+        )
+        engine.ask(source, queries[i % 3])
+        engine.prepare()
+    out = []
+    for key in _KEYS:
+        sure, more = engines[key].answer_with_caveats(queries[0])
+        out.append((key, _tree_facts(sure), more))
+    merged = None
+    more_any = False
+    for key in sorted(engines):
+        sure, more = engines[key].answer_with_caveats(queries[1])
+        more_any = more_any or more
+        if not sure.is_empty():
+            merged = sure if merged is None else overlay(merged, sure)
+    out.append(
+        (
+            "fleet",
+            _tree_facts(merged if merged is not None else DataTree.empty()),
+            more_any,
+        )
+    )
+    return out
+
+
+@pytest.mark.parametrize("shards", [1, 2, 8])
+def test_certain_answers_match_mono_reference(tmp_path, shards):
+    """A durable cluster answers bit-for-bit like one bare engine per key."""
+    source = _catalog_source()
+    cluster = _cluster(shards, store=SessionStore(str(tmp_path)))
+    try:
+        assert _drive(cluster, source) == _mono_reference(source)
+    finally:
+        cluster.close()
+
+
+def test_in_memory_answers_match_mono_reference():
+    source = _catalog_source()
+    cluster = _cluster(2)
+    try:
+        assert _drive(cluster, source) == _mono_reference(source)
+    finally:
+        cluster.close()
 
 
 # -- HTTP cluster plane ----------------------------------------------------------
@@ -825,10 +963,7 @@ class TestClusterResilience:
         finally:
             cluster.close()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_retry_revives_the_engine_and_absorbs_a_torn_write(
-        self, tmp_path, backend
-    ):
+    def test_retry_revives_the_engine_and_absorbs_a_torn_write(self, tmp_path):
         """A transient store fault inside record must not surface: the
         wedged engine is revived from its journal and the retry lands —
         exactly once, even when the crashed attempt already persisted
@@ -837,7 +972,7 @@ class TestClusterResilience:
         from repro.faults.plan import FaultPlan
 
         source = _catalog_source()
-        cluster = _cluster(2, store=SessionStore(str(tmp_path)), backend=backend)
+        cluster = _cluster(2, store=SessionStore(str(tmp_path)))
         try:
             cluster.ask("alice", source, query1())
             torn_pair = (query2(), query2().evaluate(source.document()))
@@ -853,7 +988,7 @@ class TestClusterResilience:
         finally:
             cluster.close()
 
-        resumed = _cluster(2, store=SessionStore(str(tmp_path)), backend=backend)
+        resumed = _cluster(2, store=SessionStore(str(tmp_path)))
         try:
             assert resumed.answer_info("alice", query1())["queries_recorded"] == 3
         finally:
@@ -892,24 +1027,50 @@ class TestClusterResilience:
         finally:
             cluster.close()
 
-    def test_in_memory_record_failure_keeps_the_engine(self):
+    def test_expired_deadline_degrades_every_shard(self):
+        """A fan-out whose deadline has already expired degrades every
+        shard with DeadlineExceeded and answers nothing."""
+        from repro.faults.policies import DeadlineExceeded
+
+        cluster, _ = self._populated(
+            shards=3, resilience=ResiliencePolicy(ask_all_deadline_s=0.0)
+        )
+        try:
+            info = cluster.ask_all_info(query1())
+            assert info["degraded"] and info["may_have_more"]
+            assert sorted(info["failed_shards"]) == [0, 1, 2]
+            for error in info["failed_shards"].values():
+                assert error.startswith(DeadlineExceeded.__name__)
+            assert info["sessions_answered"] == 0
+            assert info["sure"].is_empty()
+        finally:
+            cluster.close()
+
+    def test_in_memory_record_failure_keeps_the_engine(self, monkeypatch):
         """Without a store there is no journal to revive from; a failed
-        in-memory record leaves existing knowledge untouched."""
-        from repro.faults.inject import FaultInjected, fault_scope
-        from repro.faults.plan import FaultPlan
+        in-memory record leaves the engine and its knowledge as they
+        were."""
+        from repro.faults.inject import FaultInjected
+        from repro.faults.plan import Fault, FaultRule
 
         source = _catalog_source()
         cluster = _cluster(2)
         try:
             cluster.ask("alice", source, query1())
-            before = cluster.answer("alice", query1())
-            plan = FaultPlan.parse("cluster.task.*:error:p=1")
-            victim = cluster.shard_of("alice")
-            with fault_scope(FaultPlan.parse(f"cluster.task.{victim}:error")):
-                info = cluster.ask_all_info(query1())
-            assert info["degraded"]
-            after = cluster.answer("alice", query1())
-            assert _tree_facts(after[0]) == _tree_facts(before[0])
+            engine = cluster.engine("alice")
+            before = cluster.answer_info("alice", query1())
+
+            def failing_record(query, answer):
+                site = "webhouse.record"
+                raise FaultInjected(Fault(site, FaultRule.parse(f"{site}:error")))
+
+            monkeypatch.setattr(engine, "record", failing_record)
+            with pytest.raises(FaultInjected):
+                cluster.record("alice", query2(), query2().evaluate(source.document()))
+            assert cluster.engine("alice") is engine
+            after = cluster.answer_info("alice", query1())
+            assert _tree_facts(after["sure"]) == _tree_facts(before["sure"])
+            assert after["queries_recorded"] == before["queries_recorded"] == 1
         finally:
             cluster.close()
 
@@ -917,14 +1078,13 @@ class TestClusterResilience:
 # -- SLO remedies ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_burn_remedy_reaches_every_shard(backend):
+def test_burn_remedy_reaches_every_shard():
     """A burning latency SLO's conjunctive remedy reaches the engines on
-    every shard, wherever the transport hosts them (Cor 3.9 changes
-    each session's maintained representation, so the fleet size moves)."""
+    every shard (Cor 3.9 changes each session's maintained
+    representation, so the fleet size moves)."""
     from repro.obs.slo import KIND_LATENCY, Objective, SloEngine
 
-    cluster, source = demo_cluster(shards=2, backend=backend, tenants=3)
+    cluster, source = demo_cluster(shards=2, tenants=3)
     slo = SloEngine(
         # every request is slower than a nanosecond: burns immediately
         objectives=[

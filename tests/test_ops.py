@@ -531,6 +531,20 @@ class TestServeCli:
     def test_serve_rejects_unknown_flags(self, capsys):
         assert cli_main(["repro", "serve", "--bogus"]) == 2
 
+    def test_serve_rejects_process_backend(self, capsys):
+        assert cli_main(["repro", "serve", "--once", "--backend", "process"]) == 2
+        assert "docs/PERFORMANCE.md" in capsys.readouterr().err
+
+    def test_serve_once_cluster_on_thread_backend(self, tmp_path, capsys):
+        code = cli_main(
+            ["repro", "serve", "--shards", "2", "--backend", "thread", "--once",
+             "--products", "4", "--root", str(tmp_path)]
+        )
+        document = json.loads(capsys.readouterr().out)
+        assert code == 0 and document["ok"] is True
+        probed = {row["endpoint"] for row in document["probes"]}
+        assert "/ask?q=q1&session=demo" in probed
+
     def test_serve_missing_session_fails_cleanly(self, tmp_path, capsys):
         code = cli_main(
             ["repro", "serve", "--once", "--session", "ghost", "--root", str(tmp_path)]
