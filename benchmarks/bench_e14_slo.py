@@ -1,24 +1,26 @@
 #!/usr/bin/env python
 """E14-slo: always-on telemetry overhead + fleet quantile accuracy.
 
-PR 8 turns telemetry on by default: every request feeds per-path
-quantile sketches, the SLO burn-rate engine, and the head/tail trace
-sampler, with span collection enabled.  That posture is only tenable if
-the pipeline is cheap and the quantiles it reports are right.  Two
-measurements, two acceptance criteria:
+``serve`` runs with span collection on: every request's spans feed the
+``latency.seconds`` family (the only latency book), and the SLO
+burn-rate engine and head/tail trace sampler run on every request.
+That posture is only tenable if the pipeline is cheap and the quantiles
+it reports are right.  Two measurements, two acceptance criteria:
 
 * **overhead** — the same ``/ask`` workload driven through the full
   in-process request pipeline (:func:`repro.ops.server.drive_request`:
-  trace, dispatch, sampler/SLO/sketch bookkeeping) twice: once with
-  observability enabled (the ``serve`` default) and once with
-  ``STATE.enabled = False`` and telemetry books still running.  Batches
-  alternate between the two servers so drift hits both sides equally.
-  Criterion: always-on ``/ask`` p50 within **10%** of the baseline;
-* **fleet accuracy** — a 4-shard pool serves keyed answers while a
-  ``latency_probe`` captures the exact per-op durations the shards
-  observed; the fleet p99 from ``merged_sketches()`` (the
-  ``stats_all`` / ``repro_cluster_answer_p99`` path) must agree with a
-  brute-force pooled p99 over those same durations within the sketch's
+  trace, dispatch, sampler/SLO bookkeeping) twice: once with span
+  collection on (the ``serve`` default) and once with
+  ``STATE.enabled = False``, where the SLO and sampler books still run
+  but no latency book does.  Batches alternate between the two servers
+  so drift hits both sides equally.  Criterion: always-on ``/ask`` p50
+  within **10%** of the baseline;
+* **fleet accuracy** — a 4-shard pool serves keyed answers with span
+  collection on; the fleet p50/p90/p99 read off the
+  ``latency.seconds{layer="cluster.answer"}`` histogram (the
+  ``stats_all`` / ``/slo`` path) must agree with exact percentiles over
+  the raw durations the same histogram kept in its ``recent`` window
+  (400 ops fit its 1,024-sample window) within the sketch's
   **relative-error bound** (1%).
 
 Usage::
@@ -134,52 +136,50 @@ def run_overhead():
         "always_on_s": on_durations,
         "sampler": always_on.sampler.stats(),
         "slo_lifetime": slo_lifetime,
-        "latency_families": sorted(always_on.request_log.latency_families()),
     }
 
 
 def run_fleet_accuracy():
-    """Sketch-merged fleet p99 vs brute-force pooled p99.
+    """Fleet quantiles from the ``cluster.answer`` histogram vs exact
+    percentiles over the raw durations in its own ``recent`` window.
 
-    The ``latency_probe`` hands us the exact durations each shard's
-    sketches observed, so the comparison isolates sketch error from
-    client/server timing skew.
+    Both sides come from the same observations, so the comparison
+    isolates sketch error from client/server timing skew.
     """
-    observed = []
+    obs.reset()
+    obs.enable()
     source = InMemorySource(
         generate_catalog(PRODUCTS, seed=SEED), catalog_type()
     )
     cluster = ShardedWebhouse(
-        CATALOG_ALPHABET,
-        tree_type=catalog_type(),
-        shards=FLEET_SHARDS,
-        latency_probe=lambda shard, op, seconds: observed.append((op, seconds)),
+        CATALOG_ALPHABET, tree_type=catalog_type(), shards=FLEET_SHARDS
     )
     try:
         for tenant in range(FLEET_SESSIONS):
             cluster.ask(f"tenant-{tenant}", source, query1())
         for i in range(FLEET_OPS):
             cluster.answer(f"tenant-{i % FLEET_SESSIONS}", query1())
-        merged = cluster.merged_sketches()["answer"]
-        pooled = sorted(s for op, s in observed if op == "answer")
+        histogram = obs.metrics.histogram("latency.seconds", layer="cluster.answer")
+        pooled = sorted(histogram.recent)
         quantiles = {}
         for q in (0.5, 0.9, 0.99):
             rank = max(0, math.ceil(q * len(pooled)) - 1)
             quantiles[f"p{int(q * 100)}"] = {
                 "exact_ms": round(pooled[rank] * 1000, 4),
-                "sketch_ms": round(merged.quantile(q) * 1000, 4),
+                "sketch_ms": round(histogram.quantile(q) * 1000, 4),
             }
         rollup = cluster.stats_all()["latency"]["answer"]
         return {
             "ops": FLEET_OPS,
-            "sketch_count": merged.count,
+            "sketch_count": histogram.sketch.count,
             "pooled_count": len(pooled),
-            "relative_accuracy": merged.relative_accuracy,
+            "relative_accuracy": histogram.sketch.relative_accuracy,
             "quantiles": quantiles,
             "stats_all_p99_ms": round(rollup["p99"] * 1000, 4),
         }
     finally:
         cluster.close()
+        obs.disable()
 
 
 def evaluate(overhead, fleet) -> dict:
@@ -196,10 +196,10 @@ def evaluate(overhead, fleet) -> dict:
     if overhead["sampler"]["kept"] == 0:
         failures.append("sampler recorded nothing under always-on load")
 
-    if fleet["sketch_count"] != fleet["pooled_count"]:
+    if not fleet["sketch_count"] == fleet["pooled_count"] == fleet["ops"]:
         failures.append(
-            f"sketch merge saw {fleet['sketch_count']} ops, "
-            f"probe saw {fleet['pooled_count']}"
+            f"sketch saw {fleet['sketch_count']} ops, recent window "
+            f"{fleet['pooled_count']}, expected {fleet['ops']}"
         )
     alpha = fleet["relative_accuracy"]
     for name, row in fleet["quantiles"].items():
@@ -219,7 +219,6 @@ def evaluate(overhead, fleet) -> dict:
             "budget_pct": MAX_OVERHEAD_PCT,
             "sampler": overhead["sampler"],
             "slo_lifetime": overhead["slo_lifetime"],
-            "latency_families": overhead["latency_families"],
         },
         "fleet": fleet,
         "criteria": {
@@ -247,7 +246,7 @@ def main(argv) -> int:
         overhead = run_overhead()
         print(
             f"fleet accuracy: {FLEET_SHARDS} shards, {FLEET_OPS} keyed "
-            f"answers, probe-pooled ground truth..."
+            f"answers, ground truth from the histogram's recent window..."
         )
         fleet = run_fleet_accuracy()
     finally:

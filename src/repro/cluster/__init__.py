@@ -29,7 +29,7 @@ repo, with every shard in this interpreter:
   bound to the observability context.
 * :class:`~repro.cluster.sharded.ShardedWebhouse` — the pool itself:
   routing, admission, per-shard breaker + retry (one
-  :data:`RETRYABLE_ERRORS` tuple), latency sketches, keyed
+  :data:`RETRYABLE_ERRORS` tuple), keyed
   ``record``/``ask``/``answer`` plus fleet-wide ``ask_all`` /
   ``stats_all`` / ``apply_remedy`` whose certain-answer union is
   invariant under the shard count.  It calls each host's methods

@@ -39,12 +39,15 @@ directly under it: ``record``, ``ask`` and ``apply_remedy`` exclusive,
 ``answer``, ``answer_all``, ``keys`` and ``stats`` shared.  Every shard
 lives in this interpreter, so Refine and answering work share one GIL;
 ``docs/PERFORMANCE.md`` records why no process boundary is drawn.
+
+Each op's ``cluster.<op>`` span is its only latency book, in the
+process-wide ``latency.seconds`` family; :func:`cluster_latency` reads
+it back.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
@@ -55,8 +58,7 @@ from ..faults.policies import CircuitBreaker, CircuitOpen, Deadline, RetryPolicy
 from ..mediator.local_query import overlay
 from ..mediator.source import InMemorySource
 from ..mediator.webhouse import Webhouse
-from ..obs.sketch import QuantileSketch
-from ..obs.spans import reset_shard, set_shard, span as _span
+from ..obs.spans import LATENCY, reset_shard, set_shard, span as _span
 from ..obs.state import STATE as _OBS
 from .admission import AdmissionController
 from .executor import Executor
@@ -66,9 +68,6 @@ from .ring import DEFAULT_REPLICAS, Router
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.session import SessionStore
-
-#: The latency families keyed operations are sketched under.
-SHARD_OPS = ("record", "ask", "answer")
 
 T = TypeVar("T")
 
@@ -104,20 +103,26 @@ def _validate_key(key: str) -> str:
     return key
 
 
-class Shard:
-    """One shard: its host and lock, latency sketches and breaker."""
+def cluster_latency() -> Dict[str, Dict[str, object]]:
+    """Whole-stream latency summary per cluster op (``record``, ``ask``,
+    ``answer``, ``ask_all``, ...), read off the ``cluster.<op>`` span
+    layers of the ``latency.seconds`` family."""
+    return {
+        h.labels["layer"][len("cluster."):]: h.sketch.summary()
+        for h in _OBS.metrics.family(LATENCY)
+        if h.labels.get("layer", "").startswith("cluster.")
+    }
 
-    __slots__ = ("index", "host", "lock", "sketches", "breaker")
+
+class Shard:
+    """One shard: its host and lock, and its breaker."""
+
+    __slots__ = ("index", "host", "lock", "breaker")
 
     def __init__(self, host: ShardHost, breaker: CircuitBreaker):
         self.index = host.index
         self.host = host
         self.lock = RWLock()
-        #: op name -> latency sketch (always-on; the sketches carry
-        #: their own locks)
-        self.sketches: Dict[str, QuantileSketch] = {
-            op: QuantileSketch() for op in SHARD_OPS
-        }
         self.breaker = breaker
 
     def run(self, call: Callable[[ShardHost], T], *, write: bool = False) -> T:
@@ -149,7 +154,6 @@ class ShardedWebhouse:
         executor: Optional[Executor] = None,
         admission: Optional[AdmissionController] = None,
         store: Optional["SessionStore"] = None,
-        latency_probe: Optional[Callable[[int, str, float], None]] = None,
         resilience: Optional[ResiliencePolicy] = None,
     ):
         if router is not None and router.shards != shards:
@@ -185,10 +189,6 @@ class ShardedWebhouse:
             )
             for index in range(shards)
         ]
-        #: called after every sketch observation with (shard, op,
-        #: seconds) — benchmarks use it to pool the exact raw durations
-        #: the shard sketches saw, for ground-truth quantile comparison.
-        self.latency_probe = latency_probe
 
     # -- routing ----------------------------------------------------------------
 
@@ -209,19 +209,19 @@ class ShardedWebhouse:
     def _keyed(
         self, op: str, key: str, call: Callable[[ShardHost], T], *, write: bool = False
     ) -> T:
-        """Route one keyed op: admission, span, breaker + retry, sketch.
+        """Route one keyed op: admission, span, breaker + retry.
 
         Every keyed op — read or write — takes the same path.  Only
         :data:`RETRYABLE_ERRORS` are retried or counted against the
         breaker; admission shedding and validation errors pass straight
         through.  A retry needs no revival step here: the host rebuilds
         a wedged engine from its journal before the error reaches this
-        loop.  Shed operations are *not* sketched — a refused request
-        has no service latency; admission books count it instead.
+        loop.  The ``cluster.<op>`` span books the op's latency, failed
+        ops included; a shed op never opens it — a refused request has
+        no service latency, and admission books count it instead.
         """
         shard = self._shards[self.shard_of(key)]
         with self.admission.admit(shard.index):
-            started = time.perf_counter()
             token = set_shard(shard.index)
             try:
                 with _span(f"cluster.{op}", shard=shard.index, key=key):
@@ -237,13 +237,9 @@ class ShardedWebhouse:
                         breaker.record_failure()
                         raise
                     breaker.record_success()
+                    return value
             finally:
                 reset_shard(token)
-            seconds = time.perf_counter() - started
-            shard.sketches[op].observe(seconds)
-            if self.latency_probe is not None:
-                self.latency_probe(shard.index, op, seconds)
-            return value
 
     def record(self, key: str, query: PSQuery, answer: DataTree) -> None:
         """Refine session ``key``'s knowledge with one pair (write path)."""
@@ -389,25 +385,10 @@ class ShardedWebhouse:
                 ),
             )
 
-    def merged_sketches(self) -> Dict[str, QuantileSketch]:
-        """Fleet latency sketches: per-shard books merged per operation.
-
-        Merge is associative and commutative, so the result is exactly
-        the sketch of the pooled stream — the fleet p99 read off it is
-        within the sketch's relative-error bound of the brute-force
-        pooled-latency p99 (the PR 8 bench asserts this).  Fresh
-        sketches are returned; the per-shard books are untouched.
-        """
-        return {
-            op: QuantileSketch.merged(
-                [shard.sketches[op] for shard in self._shards]
-            )
-            for op in SHARD_OPS
-        }
-
     def stats_all(self) -> Dict[str, object]:
         """Fleet rollup: per-shard session books, admission and breaker
-        stats, and merged fleet latency quantiles per keyed operation.
+        stats, and whole-stream latency per cluster op
+        (:func:`cluster_latency`).
 
         A shard that cannot answer degrades the rollup (zero books plus
         an ``error``), never fails it.
@@ -444,11 +425,7 @@ class ShardedWebhouse:
                 ),
                 "knowledge_size": sum(s["knowledge_size"] for s in per_shard_stats),
                 "per_shard": per_shard_stats,
-                "latency": {
-                    op: sketch.summary()
-                    for op, sketch in self.merged_sketches().items()
-                    if sketch.count
-                },
+                "latency": cluster_latency(),
             }
 
     # -- inventory --------------------------------------------------------------
@@ -477,11 +454,11 @@ class ShardedWebhouse:
         ``n+1`` moves an expected ``1/(n+1)`` of the sessions.  Returns
         the new cluster and the keys that changed shard (the rebalance
         cost a deployment would pay in session migrations).  The
-        resilience policy, latency probe and admission settings carry
-        over, the admission budget onto a controller sized for
-        ``shards``.  Engines move by reference — in-memory only;
-        durable namespaces are not relocated (a restart against the
-        store re-resumes into the new layout's directories).
+        resilience policy and admission settings carry over, the
+        admission budget onto a controller sized for ``shards``.
+        Engines move by reference — in-memory only; durable namespaces
+        are not relocated (a restart against the store re-resumes into
+        the new layout's directories).
         """
         engines = [shard.run(lambda host: dict(host.engines)) for shard in self._shards]
         admission = self.admission
@@ -499,7 +476,6 @@ class ShardedWebhouse:
                 policy=admission.policy,
                 wait_timeout_s=admission.wait_timeout_s,
             ),
-            latency_probe=self.latency_probe,
             resilience=self.resilience,
         )
         moved: List[str] = []
@@ -527,8 +503,8 @@ class ShardedWebhouse:
 
 __all__ = [
     "RETRYABLE_ERRORS",
+    "cluster_latency",
     "ResiliencePolicy",
-    "SHARD_OPS",
     "Shard",
     "ShardedWebhouse",
 ]

@@ -44,7 +44,6 @@ from .export import (
     chrome_trace_events,
     labeled_gauge_lines,
     prometheus_text,
-    summary_metric_lines,
     validate_chrome_trace,
     validate_prometheus_text,
     write_chrome_trace,
@@ -201,7 +200,6 @@ __all__ = [
     "set_trace_id",
     "snapshot",
     "span",
-    "summary_metric_lines",
     "timed",
     "timer",
     "traces",

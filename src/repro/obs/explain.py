@@ -144,8 +144,7 @@ def _collect_work(metrics: Metrics) -> Dict[str, object]:
         values = metrics.series(name)
         if values:
             work[series] = values
-    # drop the per-span timing histograms: phase timings already carry them
-    return {k: v for k, v in sorted(work.items()) if not k.startswith("span.")}
+    return dict(sorted(work.items()))
 
 
 def explain_refine(

@@ -6,7 +6,8 @@ tooling already understands:
 * :func:`prometheus_text` — the metrics registry as Prometheus text
   exposition format (version 0.0.4): counters become ``*_total``
   counter families, histograms become summaries (``_count`` / ``_sum``)
-  plus ``_min`` / ``_max`` gauges.  :func:`validate_prometheus_text` is
+  plus ``_min`` / ``_max`` gauges.  Each family is declared once, with
+  one sample group per label set.  :func:`validate_prometheus_text` is
   a strict structural checker (used by tests and CI) so exports stay
   scrape-able without requiring the ``prometheus_client`` package.
 * :func:`chrome_trace` — finished span trees as Chrome ``trace_event``
@@ -19,21 +20,27 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from .registry import Metrics
-from .sketch import SUMMARY_QUANTILES, QuantileSketch
+from .sketch import SUMMARY_QUANTILES
 from .spans import Span
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+#: One ``name="value"`` pair; the value may hold any character but
+#: ``"``, ``\\`` and newline, which appear only as escapes.
+_LABEL_PAIR = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"'
 _SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^}]*\})?"
+    r"(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    rf"(?P<labels>\{{(?:{_LABEL_PAIR}(?:,{_LABEL_PAIR})*,?)?\}})?"
     r"\s+(?P<value>[^\s]+)"
-    r"(?:\s+(?P<timestamp>-?\d+))?$"
+    r"(?:\s+(?P<timestamp>-?\d+))?"
 )
 _VALID_TYPES = frozenset(["counter", "gauge", "histogram", "summary", "untyped"])
+_name = attrgetter("name")
 
 
 def sanitize_metric_name(name: str, namespace: str = "repro") -> str:
@@ -69,27 +76,6 @@ def _render_labels(labels: Dict[str, str]) -> str:
     return "{" + inner + "}"
 
 
-def summary_metric_lines(
-    family: str, help_text: str, sketch: QuantileSketch
-) -> List[str]:
-    """A quantile sketch as one Prometheus summary family.
-
-    Emits ``family{quantile="0.5"}`` … samples plus ``_count`` and
-    ``_sum``, the exposition shape for client-computed percentiles.
-    Empty sketches still declare the family (count/sum zero) so scrape
-    dashboards see the series exists.
-    """
-    lines = [f"# HELP {family} {help_text}", f"# TYPE {family} summary"]
-    for q in SUMMARY_QUANTILES:
-        value = sketch.quantile(q)
-        if value is None:
-            continue
-        lines.append(f'{family}{{quantile="{q}"}} {_fmt_value(value)}')
-    lines.append(f"{family}_count {sketch.count}")
-    lines.append(f"{family}_sum {_fmt_value(sketch.sum)}")
-    return lines
-
-
 def labeled_gauge_lines(
     family: str,
     help_text: str,
@@ -111,6 +97,11 @@ def labeled_gauge_lines(
     return lines
 
 
+def _declare(lines: List[str], family: str, kind: str, help_text: str) -> None:
+    lines.append(f"# HELP {family} {help_text}")
+    lines.append(f"# TYPE {family} {kind}")
+
+
 def _cache_metric_lines(namespace: str) -> List[str]:
     """Perf-cache hit/miss/eviction counters as exposition lines.
 
@@ -124,8 +115,7 @@ def _cache_metric_lines(namespace: str) -> List[str]:
 
     lines: List[str] = []
     enabled_family = sanitize_metric_name("cache.enabled", namespace)
-    lines.append(f"# HELP {enabled_family} repro perf caches switch (1=on)")
-    lines.append(f"# TYPE {enabled_family} gauge")
+    _declare(lines, enabled_family, "gauge", "repro perf caches switch (1=on)")
     lines.append(f"{enabled_family} {1 if _PERF.enabled else 0}")
     for table, cache in sorted(_PERF.caches.items()):
         for suffix, value in (
@@ -134,12 +124,10 @@ def _cache_metric_lines(namespace: str) -> List[str]:
             ("evictions", cache.evictions),
         ):
             family = sanitize_metric_name(f"cache.{table}.{suffix}", namespace) + "_total"
-            lines.append(f"# HELP {family} repro perf cache {table} {suffix}")
-            lines.append(f"# TYPE {family} counter")
+            _declare(lines, family, "counter", f"repro perf cache {table} {suffix}")
             lines.append(f"{family} {_fmt_value(value)}")
         size_family = sanitize_metric_name(f"cache.{table}.size", namespace)
-        lines.append(f"# HELP {size_family} repro perf cache {table} live entries")
-        lines.append(f"# TYPE {size_family} gauge")
+        _declare(lines, size_family, "gauge", f"repro perf cache {table} live entries")
         lines.append(f"{size_family} {len(cache)}")
     return lines
 
@@ -163,39 +151,45 @@ def prometheus_text(
     lines: List[str] = []
     if include_caches:
         lines.extend(_cache_metric_lines(namespace))
-    for name, value in metrics.counters().items():
-        if include_caches and name.startswith("cache."):
-            # the perf books above are the exact source for these; the
-            # obs mirror counters would emit duplicate families
-            continue
-        family = sanitize_metric_name(name, namespace) + "_total"
-        lines.append(f"# HELP {family} repro counter {name}")
-        lines.append(f"# TYPE {family} counter")
-        lines.append(f"{family} {_fmt_value(value)}")
-    for name, value in metrics.gauges().items():
-        family = sanitize_metric_name(name, namespace)
-        lines.append(f"# HELP {family} repro gauge {name}")
-        lines.append(f"# TYPE {family} gauge")
-        lines.append(f"{family} {_fmt_value(value)}")
-    for name, summary in metrics.histograms().items():
-        family = sanitize_metric_name(name, namespace)
-        lines.append(f"# HELP {family} repro histogram {name}")
-        lines.append(f"# TYPE {family} summary")
-        quantiles = summary.get("quantiles") or {}
-        for q in SUMMARY_QUANTILES:
-            value = quantiles.get(f"p{int(q * 100)}")
-            if value is None:
+    for kind, suffix in (("counter", "_total"), ("gauge", "")):
+        for name, members in groupby(metrics.instruments(kind), key=_name):
+            if kind == "counter" and include_caches and name.startswith("cache."):
+                # the perf books above are the exact source for these; the
+                # obs mirror counters would emit duplicate families
                 continue
-            lines.append(f'{family}{{quantile="{q}"}} {_fmt_value(value)}')
-        lines.append(f"{family}_count {_fmt_value(summary['count'])}")
-        lines.append(f"{family}_sum {_fmt_value(summary['total'])}")
-        for bound, suffix in ((summary["min"], "min"), (summary["max"], "max")):
-            if bound is None:
-                continue
-            gauge = f"{family}_{suffix}"
-            lines.append(f"# HELP {gauge} repro histogram {name} {suffix}")
-            lines.append(f"# TYPE {gauge} gauge")
-            lines.append(f"{gauge} {_fmt_value(bound)}")
+            family = sanitize_metric_name(name, namespace) + suffix
+            _declare(lines, family, kind, f"repro {kind} {name}")
+            for instrument in members:
+                lines.append(
+                    f"{family}{_render_labels(instrument.labels)} "
+                    f"{_fmt_value(instrument.value)}"
+                )
+    for name, group in groupby(metrics.instruments("histogram"), key=_name):
+        members = list(group)
+        family = sanitize_metric_name(name, namespace)
+        _declare(lines, family, "summary", f"repro histogram {name}")
+        for histogram in members:
+            labels = histogram.labels
+            for q in SUMMARY_QUANTILES:
+                value = histogram.quantile(q)
+                if value is not None:
+                    rendered = _render_labels({**labels, "quantile": str(q)})
+                    lines.append(f"{family}{rendered} {_fmt_value(value)}")
+            rendered = _render_labels(labels)
+            lines.append(f"{family}_count{rendered} {_fmt_value(histogram.count)}")
+            lines.append(f"{family}_sum{rendered} {_fmt_value(histogram.total)}")
+        for suffix in ("min", "max"):
+            bounds = [
+                (h.labels, getattr(h, suffix))
+                for h in members
+                if getattr(h, suffix) is not None
+            ]
+            if bounds:
+                _declare(lines, f"{family}_{suffix}", "gauge", f"repro histogram {name} {suffix}")
+                for labels, bound in bounds:
+                    lines.append(
+                        f"{family}_{suffix}{_render_labels(labels)} {_fmt_value(bound)}"
+                    )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -212,7 +206,9 @@ def validate_prometheus_text(text: str) -> Dict[str, float]:
     """
     samples: Dict[str, float] = {}
     typed: Dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # the format is newline-delimited; str.splitlines would also split
+    # on the carriage returns and separators a label value may carry
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip()
         if not line:
             continue
@@ -230,7 +226,7 @@ def validate_prometheus_text(text: str) -> Dict[str, float]:
                     raise ValueError(f"line {lineno}: duplicate TYPE for {family!r}")
                 typed[family] = parts[3]
             continue
-        match = _SAMPLE_RE.match(line)
+        match = _SAMPLE_RE.fullmatch(line)
         if match is None:
             raise ValueError(f"line {lineno}: malformed sample {raw!r}")
         name = match.group("name")
@@ -348,7 +344,6 @@ __all__ = [
     "chrome_trace_events",
     "labeled_gauge_lines",
     "prometheus_text",
-    "summary_metric_lines",
     "sanitize_metric_name",
     "validate_chrome_trace",
     "validate_prometheus_text",

@@ -1,9 +1,13 @@
 """Named counters and histograms — the metrics half of ``repro.obs``.
 
-A :class:`Metrics` registry owns :class:`Counter` and :class:`Histogram`
-instances keyed by dotted names (``"refine.specializations"``,
-``"matching.augmenting_paths"``).  Instruments are created lazily on
-first use so call sites never need registration boilerplate, and
+A :class:`Metrics` registry owns :class:`Counter`, :class:`Gauge` and
+:class:`Histogram` instances keyed by a dotted name
+(``"refine.specializations"``) plus the sorted labels of the call:
+``observe("latency.seconds", dt, layer="refine.step")`` and the same
+call with ``layer="cluster.answer"`` feed two label sets of one
+*family*, while a call without labels addresses the family's one
+unlabelled instrument.  Instruments are created lazily on first use so
+call sites never need registration boilerplate, and
 :meth:`Metrics.snapshot` renders the whole registry as plain dicts ready
 for ``json.dumps``.
 
@@ -21,11 +25,12 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from .sketch import DEFAULT_ACCURACY, SUMMARY_QUANTILES, QuantileSketch
 
 Number = Union[int, float]
+Labels = Dict[str, str]
 
 #: How many raw observations a histogram retains for series inspection.
 RECENT_WINDOW = 1024
@@ -39,10 +44,11 @@ class Counter:
     their own Refine steps) would otherwise lose increments.
     """
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "labels", "value", "_lock")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, labels: Optional[Labels] = None):
         self.name = name
+        self.labels: Labels = labels or {}
         self.value: Number = 0
         self._lock = threading.Lock()
 
@@ -58,10 +64,11 @@ class Gauge:
     """A named value that can go up and down (current knowledge size,
     server uptime, in-flight requests).  Last-write-wins under a lock."""
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "labels", "value", "_lock")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, labels: Optional[Labels] = None):
         self.name = name
+        self.labels: Labels = labels or {}
         self.value: Number = 0
         self._lock = threading.Lock()
 
@@ -87,15 +94,17 @@ class Histogram:
     — never from ``recent``, which only sees the newest window.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "recent", "sketch", "_lock")
+    __slots__ = ("name", "labels", "count", "total", "min", "max", "recent", "sketch", "_lock")
 
     def __init__(
         self,
         name: str,
+        labels: Optional[Labels] = None,
         window: int = RECENT_WINDOW,
         relative_accuracy: float = DEFAULT_ACCURACY,
     ):
         self.name = name
+        self.labels: Labels = labels or {}
         self.count = 0
         self.total: Number = 0
         self.min: Optional[Number] = None
@@ -142,8 +151,28 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean:.4g})"
 
 
+def _key(name: str, labels: Labels) -> object:
+    """The registry key of one label set: the bare name when unlabelled."""
+    return (name, *sorted(labels.items())) if labels else name
+
+
+def _display(instrument: Union[Counter, Gauge, Histogram]) -> str:
+    """``name`` or ``name{k=v,...}``: the JSON key of one label set."""
+    if not instrument.labels:
+        return instrument.name
+    inner = ",".join(f"{k}={v}" for k, v in sorted(instrument.labels.items()))
+    return f"{instrument.name}{{{inner}}}"
+
+
+def merged_summary(histograms: Iterable[Histogram]) -> Dict[str, object]:
+    """The whole-stream summary of several label sets' pooled
+    observations (sketch merge is exact-as-if-pooled)."""
+    return QuantileSketch.merged(h.sketch for h in histograms).summary()
+
+
 class Metrics:
-    """A registry of named counters and histograms.
+    """A registry of named, optionally labelled counters, gauges and
+    histograms.
 
     One global instance lives on :data:`repro.obs.state.STATE`;
     components that want private books (e.g. per-:class:`Webhouse`
@@ -153,79 +182,87 @@ class Metrics:
     __slots__ = ("_counters", "_gauges", "_histograms", "_lock")
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._counters: Dict[object, Counter] = {}
+        self._gauges: Dict[object, Gauge] = {}
+        self._histograms: Dict[object, Histogram] = {}
         self._lock = threading.Lock()
 
     # -- access -----------------------------------------------------------------
 
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
+    def _instrument(self, table: Dict, kind: type, name: str, labels: Labels):
+        key = _key(name, labels)
+        instrument = table.get(key)
         if instrument is None:
             # lock only the miss path: two racing creators must agree on
-            # one instrument or increments on the loser are lost
+            # one instrument or updates on the loser are lost
             with self._lock:
-                instrument = self._counters.get(name)
+                instrument = table.get(key)
                 if instrument is None:
-                    instrument = self._counters[name] = Counter(name)
+                    instrument = table[key] = kind(name, labels)
         return instrument
 
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            with self._lock:
-                instrument = self._gauges.get(name)
-                if instrument is None:
-                    instrument = self._gauges[name] = Gauge(name)
-        return instrument
+    def counter(self, name: str, **labels: str) -> Counter:
+        return self._instrument(self._counters, Counter, name, labels)
 
-    def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            with self._lock:
-                instrument = self._histograms.get(name)
-                if instrument is None:
-                    instrument = self._histograms[name] = Histogram(name)
-        return instrument
+    def gauge(self, name: str, **labels: str) -> Gauge:
+        return self._instrument(self._gauges, Gauge, name, labels)
 
-    def inc(self, name: str, amount: Number = 1) -> None:
-        self.counter(name).inc(amount)
+    def histogram(self, name: str, **labels: str) -> Histogram:
+        return self._instrument(self._histograms, Histogram, name, labels)
 
-    def set_gauge(self, name: str, value: Number) -> None:
-        self.gauge(name).set(value)
+    def inc(self, name: str, amount: Number = 1, **labels: str) -> None:
+        self._instrument(self._counters, Counter, name, labels).inc(amount)
 
-    def observe(self, name: str, value: Number) -> None:
-        self.histogram(name).observe(value)
+    def set_gauge(self, name: str, value: Number, **labels: str) -> None:
+        self._instrument(self._gauges, Gauge, name, labels).set(value)
 
-    def value(self, name: str) -> Number:
+    def observe(self, name: str, value: Number, **labels: str) -> None:
+        self._instrument(self._histograms, Histogram, name, labels).observe(value)
+
+    def value(self, name: str, **labels: str) -> Number:
         """Current value of a counter (0 when never incremented)."""
-        instrument = self._counters.get(name)
+        instrument = self._counters.get(_key(name, labels))
         return instrument.value if instrument is not None else 0
 
-    def gauge_value(self, name: str) -> Number:
+    def gauge_value(self, name: str, **labels: str) -> Number:
         """Current value of a gauge (0 when never set)."""
-        instrument = self._gauges.get(name)
+        instrument = self._gauges.get(_key(name, labels))
         return instrument.value if instrument is not None else 0
 
-    def series(self, name: str) -> List[Number]:
+    def series(self, name: str, **labels: str) -> List[Number]:
         """Recent observations of a histogram (empty when unknown)."""
-        instrument = self._histograms.get(name)
+        instrument = self._histograms.get(_key(name, labels))
         return list(instrument.recent) if instrument is not None else []
 
-    def quantile(self, name: str, q: float) -> Optional[float]:
+    def quantile(self, name: str, q: float, **labels: str) -> Optional[float]:
         """Whole-stream histogram quantile (None when unknown/empty)."""
-        instrument = self._histograms.get(name)
+        instrument = self._histograms.get(_key(name, labels))
         return instrument.quantile(q) if instrument is not None else None
 
+    def instruments(self, kind: str) -> List:
+        """Every ``"counter"``, ``"gauge"`` or ``"histogram"`` instrument,
+        sorted by name, then by labels — each family's label sets are
+        adjacent."""
+        table = getattr(self, f"_{kind}s")
+        return sorted(table.values(), key=lambda i: (i.name, sorted(i.labels.items())))
+
+    def family(self, name: str, **match: str) -> List[Histogram]:
+        """The label sets of histogram family ``name`` that carry every
+        ``match`` label, sorted by labels."""
+        return [
+            h
+            for h in self.instruments("histogram")
+            if h.name == name and match.items() <= h.labels.items()
+        ]
+
     def counters(self) -> Dict[str, Number]:
-        return {name: c.value for name, c in sorted(self._counters.items())}
+        return {_display(c): c.value for c in self.instruments("counter")}
 
     def gauges(self) -> Dict[str, Number]:
-        return {name: g.value for name, g in sorted(self._gauges.items())}
+        return {_display(g): g.value for g in self.instruments("gauge")}
 
     def histograms(self) -> Dict[str, Dict[str, object]]:
-        return {name: h.summary() for name, h in sorted(self._histograms.items())}
+        return {_display(h): h.summary() for h in self.instruments("histogram")}
 
     # -- lifecycle --------------------------------------------------------------
 

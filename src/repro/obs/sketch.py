@@ -13,9 +13,10 @@ module replaces that story with a :class:`QuantileSketch`:
   guarantees every quantile estimate is within ``a`` *relative* error
   of the exact rank value — the DDSketch bound;
 * **mergeable**: two sketches with the same accuracy merge by adding
-  bucket counts.  Merge is associative and commutative, so per-shard
-  sketches roll up into exact-as-if-pooled fleet quantiles in any
-  gather order (``ShardedWebhouse.stats_all`` does exactly this);
+  bucket counts.  Merge is associative and commutative, so the label
+  sets of one histogram family roll up into exact-as-if-pooled
+  quantiles in any order (``/slo`` reads its ``all`` row this way, with
+  :func:`repro.obs.registry.merged_summary`);
 * **bounded**: at most ``max_bins`` positive buckets are kept; on
   overflow the *lowest* buckets collapse into one (high quantiles — the
   ones that matter for tail latency — keep their guarantee).
@@ -156,8 +157,8 @@ class QuantileSketch:
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch in place; returns self.
 
-        Associative and commutative: merging per-shard sketches in any
-        order yields the same buckets as observing the pooled stream.
+        Associative and commutative: merging sketches in any order
+        yields the same buckets as observing the pooled stream.
         Both sketches must share the same ``relative_accuracy``.
         """
         if other is self:

@@ -9,8 +9,9 @@ every closed span is also:
 
 * emitted to the active sink as a flat ``{"type": "span", ...}`` event
   (depth-annotated, so a JSONL file can be re-assembled into a tree), and
-* observed into the histogram ``span.<name>.seconds`` — spans double as
-  wall-time metrics without a separate ``timed()`` call.
+* observed into ``latency.seconds{layer=<span name>}`` plus the span's
+  own :attr:`Span.labels` — the only latency book, so latency is
+  recorded only while span collection is on.
 
 When observability is disabled ``span()`` returns a shared no-op context
 manager and yields ``None`` — call sites write
@@ -78,10 +79,8 @@ def reset_shard(token: "Token[Optional[int]]") -> None:
     _SHARD.reset(token)
 
 
-#: Per-span-name cache of the ``span.<name>.seconds`` metric string —
-#: the close path runs for every span and f-string formatting is a
-#: measurable slice of the always-on overhead budget.
-_METRIC_NAMES: Dict[str, str] = {}
+#: The histogram family every closed span observes its duration into.
+LATENCY = "latency.seconds"
 
 
 class Span:
@@ -90,14 +89,19 @@ class Span:
     A span is its own context manager (no wrapper allocation on the
     hot path): ``with span("name") as sp`` enters it, and closing
     stamps context-local attributes, files it under its parent (or the
-    trace list), and feeds the span metrics/sink.
+    trace list), and feeds the latency family and the sink.  ``labels``
+    are extra latency-family labels beside ``layer``; they must come
+    from a bounded set, unlike ``attrs``.
     """
 
-    __slots__ = ("name", "attrs", "start", "end", "children", "events")
+    __slots__ = ("name", "attrs", "labels", "start", "end", "children", "events")
 
-    def __init__(self, name: str, attrs: Dict[str, object]):
+    def __init__(
+        self, name: str, attrs: Dict[str, object], labels: Optional[Dict[str, str]] = None
+    ):
         self.name = name
         self.attrs = attrs
+        self.labels = labels
         self.start = 0.0
         self.end: Optional[float] = None
         self.children: List["Span"] = []
@@ -159,11 +163,8 @@ class Span:
         else:
             STATE.add_trace(self)
         name = self.name
-        metric = _METRIC_NAMES.get(name)
-        if metric is None:
-            metric = _METRIC_NAMES[name] = f"span.{name}.seconds"
         duration = ended - self.start
-        STATE.metrics.observe(metric, duration)
+        STATE.metrics.observe(LATENCY, duration, layer=name, **(self.labels or {}))
         sink = STATE.sink
         if sink.__class__ is not NullSink:
             sink.emit(

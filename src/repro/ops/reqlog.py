@@ -10,14 +10,13 @@ Records go to a bounded in-memory ring (served at ``/debug/requests``)
 and, when a path is configured, to an append-only JSON-lines file.  The
 file handle is guarded by a lock: handler threads log concurrently.
 
-The log is also the always-on latency books for the SLO layer: every
-record feeds a per-path (and an all-paths) mergeable
-:class:`~repro.obs.sketch.QuantileSketch`, and the slowest trace per
-path plus the most recent 5xx are retained as **exemplars** — labelled
-trace-id series on ``/metrics`` that link a quantile family to a
-concrete flight-recorder trace.  These books are independent of the
-``repro.obs`` enabled flag: quantiles must survive an operator turning
-span collection off.
+The slowest request per route plus the most recent 5xx are retained as
+trace-id **exemplars** — labelled series on ``/metrics`` that link the
+``latency.seconds`` family to a concrete flight-recorder trace.  They
+are keyed by the route label the server matched (every unmatched path
+shares one), so a client cannot grow them; ring and file records keep
+the raw path.  The log keeps no latency quantiles: the request's span
+is the only latency book (:mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations
@@ -29,16 +28,6 @@ from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Union
 
-from ..obs.sketch import DEFAULT_ACCURACY, QuantileSketch
-
-#: The key under which the cross-path latency sketch is kept.
-ALL_PATHS = "all"
-
-
-def _family(path: str) -> str:
-    """Normalize a request path to its metric family (drop the query)."""
-    return path.split("?", 1)[0] or "/"
-
 
 class RequestLog:
     """Bounded ring + optional JSONL file of per-request records."""
@@ -47,7 +36,6 @@ class RequestLog:
         self,
         capacity: int = 1024,
         path: Optional[Union[str, Path]] = None,
-        relative_accuracy: float = DEFAULT_ACCURACY,
     ):
         if capacity <= 0:
             raise ValueError("request log capacity must be positive")
@@ -58,14 +46,9 @@ class RequestLog:
         if path is not None:
             self._stream = open(path, "a", encoding="utf-8")
         self.logged = 0
-        self.relative_accuracy = relative_accuracy
-        #: per-path-family latency sketches, plus the ALL_PATHS rollup
-        self._sketches: Dict[str, QuantileSketch] = {
-            ALL_PATHS: QuantileSketch(relative_accuracy)
-        }
-        #: per-path slowest request seen (trace-id exemplars)
+        #: per-route slowest request seen, as an exemplar row
         self._slowest: Dict[str, Dict[str, object]] = {}
-        #: the most recent 5xx record
+        #: the most recent 5xx, as an exemplar row
         self._last_error: Optional[Dict[str, object]] = None
 
     def log(
@@ -75,9 +58,15 @@ class RequestLog:
         status: int,
         duration_s: float,
         trace_id: str,
+        *,
+        route: str,
         **extras: object,
     ) -> Dict[str, object]:
-        """Append one request record; returns the record."""
+        """Append one request record; returns the record.
+
+        ``route`` is the bounded label the exemplars are keyed by; the
+        record keeps the raw ``path``.
+        """
         record: Dict[str, object] = {
             "ts": time.time(),
             "method": method,
@@ -88,37 +77,19 @@ class RequestLog:
         }
         if extras:
             record.update(extras)
-        family = _family(path)
+        row = {"path": route, "trace_id": trace_id, "status": int(status), "value": duration_s}
         with self._lock:
             self._ring.append(record)
             self.logged += 1
-            sketch = self._sketches.get(family)
-            if sketch is None:
-                sketch = self._sketches[family] = QuantileSketch(
-                    self.relative_accuracy
-                )
-            slowest = self._slowest.get(family)
-            if slowest is None or duration_s > slowest["duration_s"]:  # type: ignore[operator]
-                self._slowest[family] = {
-                    "path": family,
-                    "trace_id": trace_id,
-                    "status": int(status),
-                    "duration_s": duration_s,
-                }
+            slowest = self._slowest.get(route)
+            if slowest is None or duration_s > slowest["value"]:  # type: ignore[operator]
+                self._slowest[route] = dict(row, kind="slowest")
             if status >= 500:
-                self._last_error = {
-                    "path": family,
-                    "trace_id": trace_id,
-                    "status": int(status),
-                    "duration_s": duration_s,
-                }
+                self._last_error = dict(row, kind="last_error")
             if self._stream is not None:
                 self._stream.write(json.dumps(record, sort_keys=True, default=str))
                 self._stream.write("\n")
                 self._stream.flush()
-        # the sketches lock themselves; observe outside the ring lock
-        sketch.observe(duration_s)
-        self._sketches[ALL_PATHS].observe(duration_s)
         return record
 
     def recent(self, limit: int = 100) -> List[Dict[str, object]]:
@@ -127,51 +98,16 @@ class RequestLog:
             rows = list(self._ring)
         return rows[-max(0, limit):]
 
-    # -- latency books -----------------------------------------------------------
-
-    def latency(self, family: str = ALL_PATHS) -> Optional[QuantileSketch]:
-        """The latency sketch for one path family (None when unseen)."""
-        with self._lock:
-            return self._sketches.get(_family(family) if family != ALL_PATHS else family)
-
-    def latency_families(self) -> Dict[str, QuantileSketch]:
-        """Every path family's sketch (live objects, locked internally)."""
-        with self._lock:
-            return dict(self._sketches)
-
-    def latency_summary(self) -> Dict[str, Dict[str, object]]:
-        """JSON-ready whole-stream latency quantiles per path family."""
-        with self._lock:
-            sketches = dict(self._sketches)
-        return {family: sketches[family].summary() for family in sorted(sketches)}
-
     def exemplars(self) -> List[Dict[str, object]]:
-        """Trace-id exemplars: slowest request per path, last 5xx.
+        """Trace-id exemplars: slowest request per route, last 5xx.
 
         Each row carries ``value`` (seconds) plus label fields — the
         shape :func:`repro.obs.export.labeled_gauge_lines` renders.
         """
         with self._lock:
-            rows = [
-                {
-                    "kind": "slowest",
-                    "path": row["path"],
-                    "trace_id": row["trace_id"],
-                    "status": row["status"],
-                    "value": row["duration_s"],
-                }
-                for _, row in sorted(self._slowest.items())
-            ]
+            rows = [dict(row) for _, row in sorted(self._slowest.items())]
             if self._last_error is not None:
-                rows.append(
-                    {
-                        "kind": "last_error",
-                        "path": self._last_error["path"],
-                        "trace_id": self._last_error["trace_id"],
-                        "status": self._last_error["status"],
-                        "value": self._last_error["duration_s"],
-                    }
-                )
+                rows.append(dict(self._last_error))
         return rows
 
     def close(self) -> None:
@@ -189,4 +125,4 @@ class RequestLog:
         return f"RequestLog({len(self)} retained, {self.logged} logged, path={self.path!r})"
 
 
-__all__ = ["ALL_PATHS", "RequestLog"]
+__all__ = ["RequestLog"]

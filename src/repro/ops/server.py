@@ -25,15 +25,16 @@ log, and the finished trace root lands in the
 longest).  ``contextvars`` isolation means concurrent requests can never
 adopt each other's spans.
 
-Telemetry is always on: every finished request feeds the request log's
-per-path quantile sketches and the :class:`~repro.obs.slo.SloEngine`'s
-burn-rate windows regardless of the obs enabled flag, and the
-:class:`~repro.obs.sample.TraceSampler` decides which traces reach the
-flight recorder (errored/shed/slow always kept; healthy traffic subject
-to the head rate).  ``/metrics`` adds whole-stream latency quantile
-series and trace-id exemplars; with ``degrade_on_burn`` a burning
-latency SLO applies its paper remedy to the hosted engine
-(``Webhouse.apply_remedy`` — conjunctive / linear / lossy).
+Latency has one book: the ``ops.request`` root span observes the
+``latency.seconds`` family with ``path=<matched route>`` (:data:`UNMATCHED`
+for any other path), read back by ``/metrics`` and ``/slo`` while span
+collection is on, as ``serve`` and ``slo`` keep it.  The SLO burn-rate
+windows, the :class:`~repro.obs.sample.TraceSampler` (errored/shed/slow
+traces always reach the flight recorder, healthy ones at the head rate)
+and the request log's trace-id exemplars run regardless of the obs
+flag.  With ``degrade_on_burn`` a burning latency SLO applies its paper
+remedy to the hosted engine (``Webhouse.apply_remedy`` — conjunctive /
+linear / lossy).
 
 The hosted :class:`~repro.mediator.webhouse.Webhouse` is guarded by a
 readers-writer lock (:class:`~repro.cluster.locks.RWLock`): local
@@ -63,6 +64,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..cluster import RWLock, ShardedWebhouse, ShardOverloaded
+from ..cluster.sharded import cluster_latency
 from ..core.parsing import parse_query_spec
 from ..faults.inject import (
     FaultInjected,
@@ -74,24 +76,24 @@ from ..faults.plan import FaultError, FaultPlan
 from ..faults.policies import CircuitOpen, DeadlineExceeded
 from ..mediator.source import InMemorySource
 from ..mediator.webhouse import Webhouse
-from ..obs.export import (
-    labeled_gauge_lines,
-    prometheus_text,
-    sanitize_metric_name,
-    summary_metric_lines,
-)
+from ..obs.export import labeled_gauge_lines, prometheus_text
 from ..obs.profile import profile_traces
+from ..obs.registry import merged_summary
 from ..obs.sample import DEFAULT_SLOW_S, TraceSampler
 from ..obs.slo import SloAlert, SloEngine, default_objectives
+from ..obs.spans import LATENCY
 from ..obs.state import STATE as _OBS
 from .flight import FlightRecorder
-from .reqlog import ALL_PATHS, RequestLog
+from .reqlog import RequestLog
 from .trace import request_trace
 
 #: JSON content type used by every structured endpoint.
 _JSON = "application/json"
 _PROM = "text/plain; version=0.0.4; charset=utf-8"
 _TEXT = "text/plain; charset=utf-8"
+
+#: The ``path`` label of every request no route matches.
+UNMATCHED = "unmatched"
 
 
 class OpsError(Exception):
@@ -218,8 +220,9 @@ class _Handler(BaseHTTPRequestHandler):
         status = 500
         extras: Dict[str, object] = {}
         extra_headers: Dict[str, str] = {}
+        labels = {"path": ops.route(parsed.path)}
         with request_trace(
-            "ops.request", method=self.command, path=parsed.path
+            "ops.request", labels=labels, method=self.command, path=parsed.path
         ) as handle:
             try:
                 status, body, ctype = ops.dispatch(
@@ -399,6 +402,12 @@ class OpsServer:
 
     # -- request plumbing -------------------------------------------------------
 
+    def route(self, path: str) -> str:
+        """The route ``path`` dispatches to, or :data:`UNMATCHED` — the
+        bounded ``path`` label of the request's latency and exemplars."""
+        route = path.rstrip("/") or "/"
+        return route if route in self._routes else UNMATCHED
+
     def dispatch(
         self, path: str, params: Dict[str, list], extras: Dict[str, object]
     ) -> Tuple[int, str, str]:
@@ -445,13 +454,13 @@ class OpsServer:
         extras: Dict[str, object],
     ) -> None:
         """Post-response bookkeeping: sampler, flight recorder, request
-        log, SLO engine, metrics.
+        log, SLO engine, request counters.
 
         The sampler decides whether the trace reaches the recorder
         (errored/shed/slow always kept, healthy traffic subject to the
-        head rate); the request log's sketches and the SLO burn windows
-        are fed unconditionally — always-on telemetry does not depend
-        on the obs enabled flag.
+        head rate); the request log's exemplars and the SLO burn windows
+        are fed unconditionally.  The request's latency is already
+        booked: its root span closed before this runs.
         """
         errored = status >= 400 or handle.errored
         reason = self.sampler.decide(
@@ -460,14 +469,12 @@ class OpsServer:
         if reason is not None:
             self.recorder.record(handle.root, errored=errored, reason=reason)
         self.request_log.log(
-            method, path, status, duration_s, handle.trace_id, **extras
+            method, path, status, duration_s, handle.trace_id, route=self.route(path), **extras
         )
         self.slo.record(status, duration_s)
         if _OBS.enabled:
-            endpoint = (path.strip("/") or "root").replace("/", ".")
             _OBS.metrics.inc("ops.http.requests")
             _OBS.metrics.inc(f"ops.http.status.{status // 100}xx")
-            _OBS.metrics.observe(f"ops.http.{endpoint}.seconds", duration_s)
 
     def _degrade_for_burn(self, alert: SloAlert) -> None:
         """The SLO degrade hook: apply the alert's paper remedy.
@@ -579,29 +586,18 @@ class OpsServer:
     def _telemetry_lines(self) -> str:
         """The always-on telemetry series appended to ``/metrics``.
 
-        Whole-stream latency quantile summaries per request path (from
-        the request log's sketches), trace-id exemplars, sampler and SLO
-        books, and — in cluster mode — fleet latency quantiles merged
-        from the per-shard sketches (``repro_cluster_ask_p99`` etc.).
-        Everything here passes :func:`validate_prometheus_text`.
+        Trace-id exemplars (slowest request per route, last 5xx) and the
+        sampler and SLO books.  Latency quantiles are not here: they are
+        the registry's ``latency.seconds`` family.  Everything here
+        passes :func:`validate_prometheus_text`.
         """
         lines: list = []
-        for family, sketch in sorted(self.request_log.latency_families().items()):
-            if not sketch.count:
-                continue
-            token = family.strip("/").replace("/", ".") if family != ALL_PATHS else "all"
-            name = sanitize_metric_name(f"http.{token or 'root'}.latency.seconds")
-            lines.extend(
-                summary_metric_lines(
-                    name, f"whole-stream request latency for {family}", sketch
-                )
-            )
         exemplars = self.request_log.exemplars()
         if exemplars:
             lines.extend(
                 labeled_gauge_lines(
                     "repro_http_exemplar_seconds",
-                    "trace-id exemplars: slowest request per path, last 5xx",
+                    "trace-id exemplars: slowest request per route, last 5xx",
                     exemplars,
                 )
             )
@@ -625,23 +621,6 @@ class OpsServer:
                 ],
             )
         )
-        if self.cluster is not None:
-            for op, sketch in sorted(self.cluster.merged_sketches().items()):
-                if not sketch.count:
-                    continue
-                family = f"repro_cluster_{op}_seconds"
-                lines.extend(
-                    summary_metric_lines(
-                        family, f"fleet latency for keyed {op} (merged sketches)", sketch
-                    )
-                )
-                for q, suffix in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99")):
-                    gauge = f"repro_cluster_{op}_{suffix}"
-                    lines.append(
-                        f"# HELP {gauge} fleet {suffix} latency for keyed {op}, seconds"
-                    )
-                    lines.append(f"# TYPE {gauge} gauge")
-                    lines.append(f"{gauge} {sketch.quantile(q)!r}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def _handle_profile(self, params, extras) -> Tuple[int, str, str]:
@@ -772,20 +751,26 @@ class OpsServer:
         }
 
     def _handle_slo(self, params, extras) -> Tuple[int, str, str]:
-        """Burn-rate state, sampler books, and latency quantiles, JSON."""
+        """Burn-rate state, sampler books, and latency quantiles, JSON.
+
+        ``latency`` holds the ``ops.request`` layer per route plus
+        ``all``, their merge; ``cluster_latency`` one entry per cluster
+        op.  Both read the ``latency.seconds`` family.
+        """
+        requests = [
+            h for h in _OBS.metrics.family(LATENCY, layer="ops.request") if "path" in h.labels
+        ]
+        latency = {h.labels["path"]: h.sketch.summary() for h in requests}
+        latency["all"] = merged_summary(requests)
         document = {
             "slo": self.slo.snapshot(),
             "sampler": self.sampler.stats(),
             "degrade_on_burn": self.degrade_on_burn,
             "remedies_applied": list(self.remedies_applied),
-            "latency": self.request_log.latency_summary(),
+            "latency": latency,
         }
         if self.cluster is not None:
-            document["cluster_latency"] = {
-                op: sketch.summary()
-                for op, sketch in self.cluster.merged_sketches().items()
-                if sketch.count
-            }
+            document["cluster_latency"] = cluster_latency()
         return 200, json.dumps(document, sort_keys=True, default=str) + "\n", _JSON
 
     def _handle_debug_error(self, params, extras) -> Tuple[int, str, str]:
@@ -865,7 +850,8 @@ def drive_request(server: OpsServer, path: str) -> Tuple[int, str]:
     extras: Dict[str, object] = {}
     started = time.perf_counter()
     status = 500
-    with request_trace("ops.request", method="GET", path=parsed.path) as handle:
+    labels = {"path": server.route(parsed.path)}
+    with request_trace("ops.request", labels=labels, method="GET", path=parsed.path) as handle:
         try:
             status, body, _ = server.dispatch(
                 parsed.path, parse_qs(parsed.query), extras
@@ -955,6 +941,7 @@ def self_check(base_url: str, timeout: float = 5.0, probes=None):
 __all__ = [
     "OpsError",
     "OpsServer",
+    "UNMATCHED",
     "demo_cluster",
     "demo_webhouse",
     "drive_request",

@@ -14,7 +14,7 @@ other's spans or ids: each handler thread starts from an empty context.
 
 Typical usage (what :mod:`repro.ops.server` does per request)::
 
-    with request_trace("ops.request", method="GET", path="/ask") as t:
+    with request_trace("ops.request", labels={"path": "/ask"}, path="/ask") as t:
         ...                       # handle the request
         t.annotate(status=200)    # attach response attributes
     t.trace_id                    # -> "a3f9..." (response header)
@@ -88,15 +88,25 @@ class request_trace:
 
     The id is always generated and bound (responses carry a trace id
     even when observability is off); the root span exists only while
-    collection is enabled.  The previous trace-id binding is restored on
-    exit, so nested traces behave sanely.
+    collection is enabled.  ``labels`` become the root span's
+    :attr:`~repro.obs.spans.Span.labels` in the latency family (the
+    server passes the matched route, never the raw path).  The previous
+    trace-id binding is restored on exit, so nested traces behave
+    sanely.
     """
 
-    __slots__ = ("_name", "_attrs", "_trace_id", "_token", "_span_cm", "_handle")
+    __slots__ = ("_name", "_attrs", "_labels", "_trace_id", "_token", "_span_cm", "_handle")
 
-    def __init__(self, name: str = "ops.request", trace_id: Optional[str] = None, **attrs: object):
+    def __init__(
+        self,
+        name: str = "ops.request",
+        trace_id: Optional[str] = None,
+        labels: Optional[Dict[str, str]] = None,
+        **attrs: object,
+    ):
         self._name = name
         self._attrs: Dict[str, object] = dict(attrs)
+        self._labels = labels
         self._trace_id = trace_id or new_trace_id()
         self._token = None
         self._span_cm = None
@@ -106,6 +116,8 @@ class request_trace:
         self._token = set_trace_id(self._trace_id)
         self._span_cm = span(self._name, **self._attrs)
         root = self._span_cm.__enter__()
+        if root is not None:
+            root.labels = self._labels
         self._handle = TraceHandle(self._trace_id, root)
         return self._handle
 

@@ -417,15 +417,13 @@ class TestShardedWebhouse:
         finally:
             cluster.close()
 
-    def test_resize_keeps_resilience_admission_and_probe(self):
-        seen = []
+    def test_resize_keeps_resilience_and_admission(self):
         resilience = ResiliencePolicy(breaker_failures=2, ask_all_deadline_s=0.5)
         cluster = _cluster(
             2,
             admission=AdmissionController(
                 2, max_in_flight=3, policy="wait", wait_timeout_s=0.05
             ),
-            latency_probe=lambda shard, op, seconds: seen.append(op),
             resilience=resilience,
         )
         try:
@@ -441,8 +439,6 @@ class TestShardedWebhouse:
                     admission.policy,
                     admission.wait_timeout_s,
                 ) == (3, "wait", 0.05)
-                resized.answer("alice", query1())
-                assert seen == ["answer"]
             finally:
                 resized.close()
         finally:
@@ -769,23 +765,26 @@ class TestClusterHTTP:
         assert any("session=demo" in row["endpoint"] for row in report)
 
 
+def _op_latency(op: str):
+    """The ``cluster.<op>`` label set of the span latency family."""
+    return obs.metrics.histogram("latency.seconds", layer=f"cluster.{op}")
+
+
 class TestFleetLatencySketches:
+    """Keyed ops book their latency in one place: the ``cluster.<op>``
+    layer of the ``latency.seconds`` family their span observes."""
+
     def test_per_shard_ops_feed_sketches(self):
         source = _catalog_source()
         cluster = _cluster(4)
         try:
-            for key in ("alice", "bob", "carol"):
-                cluster.ask(key, source, query1())
-                cluster.answer(key, query1())
-            merged = cluster.merged_sketches()
-            assert merged["ask"].count == 3
-            assert merged["answer"].count == 3
-            assert merged["record"].count == 0
-            # only shards that served traffic observed anything
-            per_shard = sum(
-                shard.sketches["ask"].count for shard in cluster._shards
-            )
-            assert per_shard == 3
+            with obs.capture():
+                for key in ("alice", "bob", "carol"):
+                    cluster.ask(key, source, query1())
+                    cluster.answer(key, query1())
+            assert _op_latency("ask").count == 3
+            assert _op_latency("answer").count == 3
+            assert _op_latency("record").count == 0
         finally:
             cluster.close()
 
@@ -793,38 +792,47 @@ class TestFleetLatencySketches:
         source = _catalog_source()
         cluster = _cluster(2)
         try:
-            cluster.ask("alice", source, query1())
-            rollup = cluster.stats_all()
-            assert "ask" in rollup["latency"]
-            assert rollup["latency"]["ask"]["count"] == 1
-            assert rollup["latency"]["ask"]["p99"] > 0.0
-            assert "record" not in rollup["latency"]  # empty sketches omitted
+            with obs.capture():
+                cluster.ask("alice", source, query1())
+                rollup = cluster.stats_all()
+            latency = rollup["latency"]
+            assert latency["ask"]["count"] == 1
+            assert latency["ask"]["p99"] > 0.0
+            assert {"count", "sum", "min", "max", "p50", "p90", "p99"} <= set(
+                latency["ask"]
+            )
+            assert "record" not in latency  # ops that never ran are omitted
         finally:
             cluster.close()
 
-    def test_merged_quantiles_match_pooled_probe_durations(self):
-        """The PR-8 acceptance invariant: fleet quantiles from the
-        sketch merge agree (within the sketch's relative-error bound)
-        with a brute-force pooled percentile over the exact durations
-        the shards observed, captured via ``latency_probe``."""
+    def test_stats_all_latency_empty_without_span_collection(self):
+        source = _catalog_source()
+        cluster = _cluster(2)
+        try:
+            cluster.ask("alice", source, query1())
+            assert cluster.stats_all()["latency"] == {}
+        finally:
+            cluster.close()
+
+    def test_fleet_quantiles_match_recent_window(self):
+        """Fleet quantiles read off the family agree, within the
+        sketch's relative-error bound, with exact percentiles over the
+        raw durations the same histogram kept in its ``recent`` window
+        (40 ops fit the window, so it holds the whole stream)."""
         import math
 
-        observed = []
-        source = _catalog_source()
-        cluster = _cluster(
-            4, latency_probe=lambda shard, op, s: observed.append((op, s))
-        )
+        cluster = _cluster(4)
         try:
-            for i in range(40):
-                cluster.answer(f"tenant-{i % 8}", query1())
-            merged = cluster.merged_sketches()["answer"]
-            durations = sorted(s for op, s in observed if op == "answer")
-            assert merged.count == len(durations) == 40
+            with obs.capture():
+                for i in range(40):
+                    cluster.answer(f"tenant-{i % 8}", query1())
+            histogram = _op_latency("answer")
+            durations = sorted(histogram.recent)
+            assert histogram.count == histogram.sketch.count == len(durations) == 40
+            alpha = histogram.sketch.relative_accuracy
             for q in (0.5, 0.9, 0.99):
-                rank = max(0, math.ceil(q * len(durations)) - 1)
-                truth = durations[rank]
-                estimate = merged.quantile(q)
-                assert abs(estimate - truth) <= merged.relative_accuracy * truth
+                truth = durations[max(0, math.ceil(q * len(durations)) - 1)]
+                assert abs(histogram.quantile(q) - truth) <= alpha * truth
         finally:
             cluster.close()
 
@@ -833,11 +841,66 @@ class TestFleetLatencySketches:
             1, admission=AdmissionController(1, max_in_flight=1, policy="shed")
         )
         try:
-            with _hold_slots(cluster, 0, 1):
-                with pytest.raises(ShardOverloaded):
+            with obs.capture():
+                with _hold_slots(cluster, 0, 1):
+                    with pytest.raises(ShardOverloaded):
+                        cluster.answer("alice", query1())
+                assert _op_latency("answer").count == 0
+                assert cluster.stats_all()["per_shard"][0]["admission"]["shed"] >= 1
+        finally:
+            cluster.close()
+
+    def test_failed_operations_are_observed(self, monkeypatch):
+        """An op that raises still closes its span, so it is booked."""
+        from repro.cluster import ShardHost
+
+        def broken(host, key, query):
+            raise ValueError("broken host")
+
+        monkeypatch.setattr(ShardHost, "answer", broken)
+        cluster = _cluster(1)
+        try:
+            with obs.capture():
+                with pytest.raises(ValueError, match="broken host"):
                     cluster.answer("alice", query1())
-            assert cluster.merged_sketches()["answer"].count == 0
-            assert cluster.stats_all()["per_shard"][0]["admission"]["shed"] >= 1
+            assert _op_latency("answer").count == 1
+        finally:
+            cluster.close()
+
+    def test_each_interval_has_one_book(self):
+        """With span collection on, a keyed ``/ask``'s duration lands in
+        one registry histogram and its shard op's in one; no other
+        object keeps a latency sketch."""
+        from repro.obs.sketch import QuantileSketch
+        from repro.ops.server import drive_request
+
+        def holds_sketch(owner) -> bool:
+            names = getattr(owner, "__slots__", None) or vars(owner)
+            values = [getattr(owner, name, None) for name in names]
+            values += [v for d in values if isinstance(d, dict) for v in d.values()]
+            return any(isinstance(v, QuantileSketch) for v in values)
+
+        obs.enable()
+        cluster, source = demo_cluster(shards=4, products=4)
+        server = OpsServer(cluster=cluster, source=source)
+        try:
+            requests = 6
+            for i in range(requests):
+                status, _ = drive_request(server, f"/ask?q=q1&session=t{i % 3}")
+                assert status == 200
+            family = obs.metrics.family("latency.seconds")
+            by_layer = {}
+            for histogram in family:
+                by_layer.setdefault(histogram.labels["layer"], []).append(histogram)
+            (request,) = by_layer["ops.request"]
+            assert (request.labels["path"], request.count) == ("/ask", requests)
+            (op,) = by_layer["cluster.answer"]
+            assert op.count == requests
+            # every other duration book is gone: one family holds them all
+            seconds = [n for n in obs.metrics.histograms() if "seconds" in n]
+            assert all(n.startswith("latency.seconds{") for n in seconds), seconds
+            assert not holds_sketch(server.request_log)
+            assert not any(holds_sketch(shard) for shard in cluster._shards)
         finally:
             cluster.close()
 
@@ -856,9 +919,10 @@ class TestFleetLatencySketches:
             status, _, body = _get(srv.url + "/metrics")
             assert status == 200
             samples = validate_prometheus_text(body.decode("utf-8"))
-            assert samples["repro_cluster_ask_seconds_count"] >= 3
-            assert 'repro_cluster_ask_seconds{quantile="0.99"}' in samples
-            assert samples["repro_cluster_ask_p99"] > 0.0
+            ask = 'layer="cluster.ask"'
+            assert samples[f"repro_latency_seconds_count{{{ask}}}"] >= 3
+            assert f'repro_latency_seconds{{{ask},quantile="0.99"}}' in samples
+            assert not any(n.startswith("repro_cluster_ask_") for n in samples)
             # /slo carries the same books as JSON
             status, _, body = _get(srv.url + "/slo")
             document = json.loads(body)

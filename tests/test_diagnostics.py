@@ -5,6 +5,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.obs.monitor import (
@@ -19,6 +21,7 @@ from repro.obs.monitor import (
     REMEDY_LINEAR,
     REMEDY_LOSSY,
 )
+from repro.obs.export import labeled_gauge_lines
 from repro.obs.profile import Profile, aggregate
 from repro.obs.registry import Counter, Histogram, Metrics
 from repro.obs.sinks import NullSink, RingBufferSink
@@ -100,7 +103,7 @@ class TestSpanErrorPaths:
             with pytest.raises(RuntimeError):
                 with span("fails"):
                     raise RuntimeError("nope")
-            assert obs.metrics.histogram("span.fails.seconds").count == 1
+            assert obs.metrics.histogram("latency.seconds", layer="fails").count == 1
         events = [e for e in ring.events() if e["type"] == "span"]
         assert events[0]["attrs"]["error"] == "RuntimeError"
 
@@ -405,6 +408,10 @@ class TestExplain:
 
 # -- exporters -------------------------------------------------------------------------
 
+#: Label text biased toward the characters the exposition format escapes
+#: or that end a naive label block.
+_LABEL_TEXT = st.text(st.one_of(st.sampled_from('}{"\\\n\r=, '), st.characters()))
+
 
 class TestExporters:
     def test_prometheus_text_validates(self):
@@ -420,12 +427,48 @@ class TestExporters:
         assert samples["repro_refine_result_size_min"] == 10.0
         assert samples["repro_refine_result_size_max"] == 30.0
 
+    def test_labelled_family_is_declared_once(self):
+        metrics = Metrics()
+        metrics.observe("latency.seconds", 0.25, layer="ops.request", path="/ask")
+        metrics.observe("latency.seconds", 0.5, layer="ops.request", path="/slo")
+        metrics.observe("latency.seconds", 1.0, layer="cluster.answer")
+        text = obs.prometheus_text(metrics, include_caches=False)
+        samples = obs.validate_prometheus_text(text)
+        assert text.count("# TYPE repro_latency_seconds summary") == 1
+        assert text.count("# TYPE ") == 3  # the summary plus _min and _max
+        answer = 'layer="cluster.answer"'
+        assert samples[f"repro_latency_seconds_count{{{answer}}}"] == 1.0
+        ask = 'layer="ops.request",path="/ask"'
+        assert samples[f'repro_latency_seconds{{{ask},quantile="0.99"}}'] == (
+            pytest.approx(0.25, rel=0.01)
+        )
+        assert samples[f"repro_latency_seconds_max{{{ask}}}"] == 0.25
+
     def test_prometheus_validator_rejects_malformed(self):
         with pytest.raises(ValueError):
             obs.validate_prometheus_text("repro_x_total not_a_number\n")
         with pytest.raises(ValueError):
             # sample without a preceding TYPE comment
             obs.validate_prometheus_text("repro_unknown_total 1\n")
+        typed = "# TYPE repro_x gauge\n"
+        for labels in ('{path="/a"b"}', '{path="/a\\qb"}', "{path=/a}", '{path="/a"'):
+            with pytest.raises(ValueError):
+                obs.validate_prometheus_text(f"{typed}repro_x{labels} 1\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LABEL_TEXT, _LABEL_TEXT)
+    def test_any_label_value_validates(self, first, second):
+        """Label values may hold ``}``, ``"``, backslashes and newlines:
+        escaped by the exporter, they parse, and distinct values stay
+        distinct samples."""
+        values = [first] if first == second else [first, second]
+        lines = labeled_gauge_lines(
+            "repro_x",
+            "label round trip",
+            [{"path": value, "value": i} for i, value in enumerate(values)],
+        )
+        samples = obs.validate_prometheus_text("\n".join(lines) + "\n")
+        assert sorted(samples.values()) == list(range(len(values)))
 
     def test_prometheus_defaults_to_global_metrics(self):
         with obs.capture():

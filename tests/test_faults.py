@@ -390,6 +390,7 @@ class TestOpsFaults:
     def test_latency_injection_shows_in_request_latency(self):
         plan = FaultPlan.parse("ops.request:latency:ms=30:nth=1")
         srv = self._server(fault_plan=plan)
+        obs.enable()  # the request's span is its latency book
         status, _ = drive_request(srv, "/ask?q=q1")
         assert status == 200  # latency delays, it does not fail
         status, body = drive_request(srv, "/slo")

@@ -103,7 +103,7 @@ class TestSpans:
         with obs.capture():
             with obs.span("timed.region"):
                 pass
-        histogram = obs.metrics.histogram("span.timed.region.seconds")
+        histogram = obs.metrics.histogram("latency.seconds", layer="timed.region")
         assert histogram.count == 1
         assert histogram.min >= 0
 

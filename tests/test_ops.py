@@ -34,6 +34,7 @@ from repro.ops import (
     new_trace_id,
     request_trace,
 )
+from repro.ops.server import UNMATCHED
 from repro.store import SessionStore
 from repro.workloads.catalog import CATALOG_ALPHABET, catalog_type, query1
 
@@ -238,7 +239,7 @@ class TestRequestLog:
     def test_ring_is_bounded_and_ordered(self):
         log = RequestLog(capacity=3)
         for i in range(6):
-            log.log("GET", f"/p{i}", 200, 0.001, f"t{i}")
+            log.log("GET", f"/p{i}", 200, 0.001, f"t{i}", route=UNMATCHED)
         recent = log.recent()
         assert [r["path"] for r in recent] == ["/p3", "/p4", "/p5"]
         assert log.logged == 6
@@ -246,7 +247,7 @@ class TestRequestLog:
     def test_jsonl_file_records(self, tmp_path):
         path = tmp_path / "requests.jsonl"
         log = RequestLog(path=path)
-        log.log("GET", "/ask", 200, 0.0042, "abc", knowledge_size=17)
+        log.log("GET", "/ask", 200, 0.0042, "abc", route="/ask", knowledge_size=17)
         log.close()
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows[0]["path"] == "/ask"
@@ -590,10 +591,13 @@ class TestAlwaysOnTelemetry:
         status, _, body = _get(server.url + "/metrics")
         assert status == 200
         samples = validate_prometheus_text(body.decode("utf-8"))
-        # whole-stream quantile summaries from the request-log sketches
-        assert samples['repro_http_all_latency_seconds{quantile="0.5"}'] >= 0.0
-        assert samples["repro_http_all_latency_seconds_count"] >= 4
-        assert samples["repro_http_ask_latency_seconds_count"] >= 3
+        # whole-stream quantiles of the request's span, labelled by route
+        ask = 'layer="ops.request",path="/ask"'
+        assert samples[f'repro_latency_seconds{{{ask},quantile="0.5"}}'] >= 0.0
+        assert samples[f"repro_latency_seconds_count{{{ask}}}"] >= 3
+        error = 'layer="ops.request",path="/debug/error"'
+        assert samples[f"repro_latency_seconds_count{{{error}}}"] >= 1
+        assert not any(n.startswith("repro_http_all_") for n in samples)
         # exemplar series link quantiles to concrete trace ids
         exemplars = [
             n for n in samples if n.startswith("repro_http_exemplar_seconds{")
@@ -606,8 +610,8 @@ class TestAlwaysOnTelemetry:
         assert 'repro_slo_burning{objective="latency-99"}' in samples
 
     def test_telemetry_survives_obs_disabled(self):
-        """The PR-8 posture: sketches, sampler and SLO books run even
-        with span collection off."""
+        """Sampler and SLO books run even with span collection off.
+        Latency books do not: the span is the only one."""
         from repro.ops.server import drive_request
 
         assert not obs.STATE.enabled
@@ -625,8 +629,54 @@ class TestAlwaysOnTelemetry:
             if o["name"] == "availability-99.9"
         )
         assert availability["lifetime"]["good"] >= 3
-        assert document["latency"]["/ask"]["count"] == 3
+        assert list(document["latency"]) == ["all"]
+        assert document["latency"]["all"]["count"] == 0
         assert srv.sampler.stats()["kept"] >= 3
+
+    def test_client_paths_do_not_reach_metric_names(self, server):
+        """Paths that sanitize to one metric name, or carry ``}``, leave
+        ``/metrics`` valid: no client path becomes a name or label."""
+        import http.client
+
+        for path in ("/a-b", "/a_b", "/x%7Dy"):
+            status, _, _ = _get(server.url + path)
+            assert status == 404
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("GET", "/x}y")
+            assert connection.getresponse().status == 404
+        finally:
+            connection.close()
+        _wait_until(lambda: server.request_log.logged >= 4)
+        status, _, body = _get(server.url + "/metrics")
+        assert status == 200
+        samples = validate_prometheus_text(body.decode("utf-8"))
+        unmatched = 'layer="ops.request",path="unmatched"'
+        assert samples[f"repro_latency_seconds_count{{{unmatched}}}"] == 4
+        assert not any("a_b" in n or "x}y" in n or "7Dy" in n for n in samples)
+
+    def test_unmatched_paths_share_one_label_set(self):
+        from repro.ops.server import drive_request
+
+        obs.enable()
+        webhouse, source = demo_webhouse(products=3)
+        srv = OpsServer(webhouse, source=source)
+        assert drive_request(srv, "/ask?q=q1")[0] == 200
+        for i in range(500):
+            assert drive_request(srv, f"/missing-{i}")[0] == 404
+        requests = obs.STATE.metrics.family("latency.seconds", layer="ops.request")
+        assert sorted(h.labels["path"] for h in requests) == ["/ask", UNMATCHED]
+        assert sum(h.count for h in requests) == 501
+        rows = srv.request_log.exemplars()
+        assert sorted(row["path"] for row in rows) == ["/ask", UNMATCHED]
+        # the ring keeps the raw path
+        assert srv.request_log.recent(1)[0]["path"] == "/missing-499"
+        _, body = drive_request(srv, "/slo")
+        latency = json.loads(body)["latency"]
+        assert sorted(latency) == ["/ask", "all", UNMATCHED]
+        assert latency["all"]["count"] == 501
+        assert latency[UNMATCHED]["count"] == 500
 
     def test_flight_recorder_keep_reasons(self, server):
         _get(server.url + "/ask?q=q1")
