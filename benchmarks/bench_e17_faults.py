@@ -204,15 +204,13 @@ def run_recovery():
     resume_times = []
     recovered = {}
     restart_started = time.perf_counter()
-    for shard_index in range(FLEET_SHARDS):
-        sub = store.shard(shard_index)
-        for name in sub.list_sessions():
-            started = time.perf_counter()
-            engine = Webhouse.resume(sub, name)
-            engine.prepare()
-            resume_times.append(time.perf_counter() - started)
-            recovered[name] = len(engine.history)
-            engine.detach()
+    for name in store.list_sessions():
+        started = time.perf_counter()
+        engine = Webhouse.resume(store, name)
+        engine.prepare()
+        resume_times.append(time.perf_counter() - started)
+        recovered[name] = len(engine.history)
+        engine.detach()
     restart_wall_s = time.perf_counter() - restart_started
 
     shutil.rmtree(store_root, ignore_errors=True)

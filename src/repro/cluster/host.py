@@ -2,8 +2,10 @@
 
 Theorem 3.5 makes a session's knowledge a pure function of its own
 query/answer history, so a shard is a closed world: one
-:class:`~repro.mediator.webhouse.Webhouse` per session key plus, when
-durable, the shard's ``SessionStore.shard(i)`` namespace.
+:class:`~repro.mediator.webhouse.Webhouse` per session key.  When
+durable, every host shares the pool's one ``SessionStore`` root, where
+each session lives at ``<root>/<key>/`` whichever shard its key routes
+to, so routing stays an in-memory decision.
 :class:`ShardHost` owns that world and is the single body of
 ``record``, ``ask``, ``answer``, ``answer_all``, ``keys``, ``stats``
 and ``apply_remedy``.  It works on live paper objects and knows
@@ -59,15 +61,14 @@ class ShardHost:
         self._factory = factory
         #: session key -> its engine
         self.engines: Dict[str, Webhouse] = {}
-        if store is not None:
-            for key in store.list_sessions():
-                self.engines[key] = self._resume(key)
 
     # -- engines -----------------------------------------------------------------
 
-    def _resume(self, key: str) -> Webhouse:
+    def resume(self, key: str) -> Webhouse:
+        """Reopen ``key``'s journaled session on this shard."""
         engine = Webhouse.resume(self.store, key)
         engine.prepare()
+        self.engines[key] = engine
         return engine
 
     def _create(self, key: str) -> Webhouse:
@@ -114,7 +115,7 @@ class ShardHost:
                 # dropped first: a failed resume must not leave the
                 # wedged engine serving
                 self.engines.pop(key, None)
-                self.engines[key] = self._resume(key)
+                self.resume(key)
                 if _OBS.enabled:
                     _OBS.metrics.inc("cluster.engine_revivals")
             raise
@@ -128,26 +129,29 @@ class ShardHost:
 
     # -- ops ----------------------------------------------------------------------
 
+    @staticmethod
+    def _fold(engine: Webhouse, query: PSQuery, answer: DataTree, **origin: str) -> None:
+        """Record one pair exactly once, the rule of both keyed writes.
+
+        A pair equal to the session's last pair is already in: a crashed
+        attempt persisted it before failing, and this is the retry.
+        """
+        history = engine.history
+        if not history or history[-1] != (query, answer):
+            engine.record(query, answer, **origin)
+        engine.prepare()
+
     def record(self, key: str, query: PSQuery, answer: DataTree) -> None:
         """Refine ``key``'s knowledge with one pair, exactly once."""
-
-        def change(engine: Webhouse) -> None:
-            history = engine.history
-            if history and history[-1] == (query, answer):
-                # a crashed attempt persisted the pair before failing;
-                # the retry is already done
-                return
-            engine.record(query, answer)
-            engine.prepare()
-
-        self._write(key, change)
+        self._write(key, lambda engine: self._fold(engine, query, answer))
 
     def ask(self, key: str, source: InMemorySource, query: PSQuery) -> Dict[str, object]:
-        """Query the source for ``key``, fold the answer in; with books."""
+        """Query the source for ``key``, fold the answer in exactly once;
+        with books."""
 
         def change(engine: Webhouse) -> Dict[str, object]:
-            answer = engine.ask(source, query)
-            engine.prepare()
+            answer = source.ask(query)
+            self._fold(engine, query, answer, _origin="ask")
             return {"answer": answer, **self._books(engine)}
 
         return self._write(key, change)

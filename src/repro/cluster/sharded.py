@@ -32,6 +32,12 @@ per-session sure answers then share the document root and compose with
 :func:`~repro.mediator.local_query.overlay`.  Sessions over genuinely
 different documents should be queried per key, not fleet-wide.
 
+A durable pool (``store=``) keeps every session flat at
+``<root>/<key>/``, the layout of ``python -m repro session``: it lists
+the root once when it opens and resumes each session on the shard its
+key routes to.  Routing stays an in-memory decision, so a restart at any
+shard count finds every session.
+
 Every shard op has one implementation, in
 :class:`~repro.cluster.host.ShardHost`.  Each :class:`Shard` holds its
 host beside a readers-writer lock, and the pool calls host methods
@@ -178,7 +184,7 @@ class ShardedWebhouse:
                     self._alphabet,
                     tree_type,
                     auto_minimize=auto_minimize,
-                    store=None if store is None else store.shard(index),
+                    store=store,
                     factory=factory,
                 ),
                 CircuitBreaker(
@@ -189,6 +195,9 @@ class ShardedWebhouse:
             )
             for index in range(shards)
         ]
+        if store is not None:
+            for key in store.list_sessions():
+                self._shards[self.router.route(key)].host.resume(key)
 
     # -- routing ----------------------------------------------------------------
 
@@ -456,11 +465,16 @@ class ShardedWebhouse:
         cost a deployment would pay in session migrations).  The
         resilience policy and admission settings carry over, the
         admission budget onto a controller sized for ``shards``.
-        Engines move by reference — in-memory only; durable namespaces
-        are not relocated (a restart against the store re-resumes into
-        the new layout's directories).
+        Engines and the store are handed over, not copied: the new
+        pool journals to the same flat root without reopening any
+        session, and this pool is left empty and in-memory.
         """
-        engines = [shard.run(lambda host: dict(host.engines)) for shard in self._shards]
+        engines: List[Dict[str, Webhouse]] = []
+        for shard in self._shards:
+            with shard.lock.write_locked():
+                engines.append(shard.host.engines)
+                store = shard.host.store
+                shard.host.engines, shard.host.store = {}, None
         admission = self.admission
         new = ShardedWebhouse(
             self._alphabet,
@@ -485,6 +499,8 @@ class ShardedWebhouse:
                 new._shards[target].host.engines[key] = engine
                 if target != index:
                     moved.append(key)
+        for shard in new._shards:
+            shard.host.store = store
         return new, sorted(moved)
 
     def close(self) -> None:

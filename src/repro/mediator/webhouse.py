@@ -41,6 +41,7 @@ from ..refine.minimize import merge_equivalent_symbols
 from ..refine.refine import refine
 from ..refine.type_intersect import intersect_with_tree_type
 from ..store import codec as _codec
+from ..store.session import StoreError
 from .completion import completion_plan
 from .local_query import LocalQuery, overlay
 from .source import InMemorySource
@@ -114,11 +115,7 @@ class Webhouse:
                     "cannot attach a non-empty session to a warehouse with "
                     "history; use Webhouse.resume()"
                 )
-            recovered = session.recover()
-            self._state = recovered.state
-            self._history = list(recovered.history)
-            self._all_linear = all(q.is_linear() for q, _ in self._history)
-            self._knowledge_cache = None
+            self._load(session)
         else:
             for query, answer in self._history:
                 session.append_event(
@@ -153,22 +150,56 @@ class Webhouse:
                 tree_type=session.tree_type(),
                 auto_minimize=session.auto_minimize(),
             )
-            recovered = session.recover()
-            webhouse._state = recovered.state
-            webhouse._history = list(recovered.history)
-            webhouse._all_linear = all(
-                q.is_linear() for q, _ in webhouse._history
-            )
-            webhouse._knowledge_cache = None
+            replayed = webhouse._load(session)
             webhouse._session = session
             webhouse.metrics.inc("webhouse.resumes")
             if _OBS.enabled:
                 _OBS.metrics.inc("webhouse.resumes")
-                _OBS.metrics.observe("webhouse.resume_replayed", recovered.replayed)
+                _OBS.metrics.observe("webhouse.resume_replayed", replayed)
             return webhouse
         except Exception:
             session.close()
             raise
+
+    def _load(self, session: "Session") -> int:
+        """Adopt ``session``'s knowledge: its snapshot, then the journal
+        events after it; returns how many events were replayed.
+
+        Each event runs through the transition the live :meth:`record`,
+        :meth:`reset` or :meth:`compact` runs, over the session's own
+        alphabet and ``auto_minimize``, in plain mode — so the journal
+        has one interpreter.  Replay journals nothing and feeds neither
+        the growth monitor nor the metrics.
+        """
+        with _span("store.session.recover") as sp:
+            upto, state, history, events = session.load()
+            self._alphabet = session.alphabet()
+            self._auto_minimize = session.auto_minimize()
+            self._apply_reset()
+            if state is not None:
+                self._state = state
+                self._history = list(history)
+                self._all_linear = all(q.is_linear() for q, _ in history)
+            for event in events:
+                kind = event.get("type")
+                if kind == "record":
+                    self._apply_record(
+                        _codec.query_from_json(event["query"]),
+                        _codec.tree_from_json(event["answer"]),
+                    )
+                elif kind == "reset":
+                    self._apply_reset()
+                elif kind == "compact":
+                    self._apply_compact(event.get("labels"))
+                elif kind != "complete":
+                    raise StoreError(f"unknown journal event type {kind!r}")
+                if _OBS.enabled:
+                    _OBS.metrics.inc("store.replay.steps")
+            if _OBS.enabled and sp is not None:
+                sp.attrs.update(
+                    snapshot_seq=upto, replayed=len(events), history=len(self._history)
+                )
+            return len(events)
 
     def source_hint(self) -> Dict[str, object]:
         """Workload parameters remembered by the attached session's meta.
@@ -218,17 +249,7 @@ class Webhouse:
         journal are consistent either way).
         """
         with _span("webhouse.record") as sp:
-            if self._conjunctive is not None:
-                self._conjunctive = self._conjunctive.refine_plus(
-                    query, answer, self._alphabet
-                )
-            else:
-                self._state = refine(self._state, query, answer, self._alphabet)
-                if self._auto_minimize:
-                    self._state = merge_equivalent_symbols(self._state)
-            self._knowledge_cache = None
-            self._history.append((query, answer))
-            self._all_linear = self._all_linear and query.is_linear()
+            self._apply_record(query, answer)
             self.metrics.inc("webhouse.records")
             self._journal(
                 {
@@ -250,6 +271,20 @@ class Webhouse:
                         engine=self.engine,
                     )
             self.monitor.observe(size, linear=self._all_linear)
+
+    def _apply_record(self, query: PSQuery, answer: DataTree) -> None:
+        """The record transition: one Refine step (or Refine⁺ layer)."""
+        if self._conjunctive is not None:
+            self._conjunctive = self._conjunctive.refine_plus(
+                query, answer, self._alphabet
+            )
+        else:
+            self._state = refine(self._state, query, answer, self._alphabet)
+            if self._auto_minimize:
+                self._state = merge_equivalent_symbols(self._state)
+        self._knowledge_cache = None
+        self._history.append((query, answer))
+        self._all_linear = self._all_linear and query.is_linear()
 
     def record_many(
         self,
@@ -330,13 +365,17 @@ class Webhouse:
     def reset(self) -> None:
         """Re-initialize to the bare type — the paper's answer to source
         updates when no change information is available."""
+        self._apply_reset()
+        self.monitor.reset_window()
+        self._journal({"type": "reset"})
+
+    def _apply_reset(self) -> None:
+        """The reset transition: back to the bare type, plain mode."""
         self._state = universal_incomplete(self._alphabet)
         self._conjunctive = None
         self._knowledge_cache = None
         self._history.clear()
         self._all_linear = True
-        self.monitor.reset_window()
-        self._journal({"type": "reset"})
 
     # -- growth control ----------------------------------------------------------
 
@@ -516,6 +555,12 @@ class Webhouse:
         every tree the exact knowledge did (sound, lossy).
         """
         labels = None if labels is None else sorted(set(labels))
+        self._apply_compact(labels)
+        self._journal({"type": "compact", "labels": labels})
+
+    def _apply_compact(self, labels: Optional[List[str]]) -> None:
+        """The compact transition: forget specializations, per layer in
+        conjunctive mode."""
         if self._conjunctive is not None:
             self._conjunctive = ConjunctiveIncompleteTree(
                 [
@@ -527,7 +572,6 @@ class Webhouse:
         else:
             self._state = forget_specializations(self._state, labels)
         self._knowledge_cache = None
-        self._journal({"type": "compact", "labels": labels})
 
     # -- local answering -----------------------------------------------------------
 

@@ -105,11 +105,11 @@ def _declare(lines: List[str], family: str, kind: str, help_text: str) -> None:
 def _cache_metric_lines(namespace: str) -> List[str]:
     """Perf-cache hit/miss/eviction counters as exposition lines.
 
-    Mirrors :func:`repro.perf.cache_stats` so ``/metrics`` and ``python
-    -m repro export`` report cache behaviour next to the obs registry
-    (the always-on per-table books, not the obs mirror counters, so the
-    numbers are exact even when obs was enabled mid-run).  Imported
-    lazily — ``repro.perf`` depends on ``repro.obs``, not vice versa.
+    Read off the always-on per-table books, as
+    :func:`repro.perf.cache_stats` is, so ``/metrics`` and ``python -m
+    repro export`` report cache behaviour next to the obs registry.
+    Imported lazily — ``repro.perf`` depends on ``repro.obs``, not vice
+    versa.
     """
     from ..perf import STATE as _PERF
 
@@ -153,10 +153,6 @@ def prometheus_text(
         lines.extend(_cache_metric_lines(namespace))
     for kind, suffix in (("counter", "_total"), ("gauge", "")):
         for name, members in groupby(metrics.instruments(kind), key=_name):
-            if kind == "counter" and include_caches and name.startswith("cache."):
-                # the perf books above are the exact source for these; the
-                # obs mirror counters would emit duplicate families
-                continue
             family = sanitize_metric_name(name, namespace) + suffix
             _declare(lines, family, kind, f"repro {kind} {name}")
             for instrument in members:

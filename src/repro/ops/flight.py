@@ -23,12 +23,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..obs.export import chrome_trace_events
 from ..obs.spans import Span
-
-
-def _subtree_errored(node: Span) -> bool:
-    if "error" in node.attrs:
-        return True
-    return any(_subtree_errored(child) for child in node.children)
+from .trace import _subtree_errored
 
 
 class FlightRecorder:

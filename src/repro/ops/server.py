@@ -60,7 +60,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..cluster import RWLock, ShardedWebhouse, ShardOverloaded
@@ -214,53 +214,60 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle(send_body=False)
 
     def _handle(self, send_body: bool = True) -> None:
-        ops: "OpsServer" = self.server.ops  # type: ignore[attr-defined]
-        parsed = urlsplit(self.path)
-        started = time.perf_counter()
-        status = 500
-        extras: Dict[str, object] = {}
-        extra_headers: Dict[str, str] = {}
-        labels = {"path": ops.route(parsed.path)}
-        with request_trace(
-            "ops.request", labels=labels, method=self.command, path=parsed.path
-        ) as handle:
-            try:
-                status, body, ctype = ops.dispatch(
-                    parsed.path, parse_qs(parsed.query), extras
-                )
-            except OpsError as exc:
-                status = exc.status
-                body = json.dumps({"error": str(exc), "status": status}) + "\n"
-                ctype = _JSON
-                extra_headers.update(exc.headers)
-                handle.annotate(error=type(exc).__name__, error_message=str(exc))
-            except Exception as exc:  # pragma: no cover - defensive
-                status = 500
-                body = json.dumps({"error": str(exc), "status": 500}) + "\n"
-                ctype = _JSON
-                handle.annotate(error=type(exc).__name__, error_message=str(exc))
-            handle.annotate(status=status)
+        def respond(status, body, ctype, headers, handle) -> None:
             payload = body.encode("utf-8")
             try:
                 self.send_response(status)
                 self.send_header("Content-Type", ctype)
                 self.send_header("Content-Length", str(len(payload)))
                 self.send_header("X-Repro-Trace-Id", handle.trace_id)
-                for name, value in extra_headers.items():
+                for name, value in headers.items():
                     self.send_header(name, value)
                 self.end_headers()
                 if send_body:
                     self.wfile.write(payload)
             except (BrokenPipeError, ConnectionResetError):
                 handle.annotate(error="ClientDisconnected")
-        ops.finish_request(
-            self.command,
-            parsed.path,
-            status,
-            time.perf_counter() - started,
-            handle,
-            extras,
-        )
+
+        _serve(self.server.ops, self.command, self.path, respond)  # type: ignore[attr-defined]
+
+
+def _serve(
+    ops: "OpsServer", method: str, target: str, respond: Optional[Callable] = None
+) -> Tuple[int, str]:
+    """One request's trace, dispatch and error mapping: the body of both
+    the HTTP handler and :func:`drive_request`.
+
+    Any exception out of dispatch becomes an error response (an
+    :class:`OpsError` its own status and headers, anything else a 500).
+    ``respond(status, body, content_type, headers, handle)`` writes the
+    response inside the trace; ``finish_request`` (sampler, flight
+    recorder, request log, SLO engine) runs after it.  Returns
+    ``(status, body)``.
+    """
+    parsed = urlsplit(target)
+    started = time.perf_counter()
+    extras: Dict[str, object] = {}
+    headers: Dict[str, str] = {}
+    labels = {"path": ops.route(parsed.path)}
+    with request_trace("ops.request", labels=labels, method=method, path=parsed.path) as handle:
+        try:
+            status, body, ctype = ops.dispatch(parsed.path, parse_qs(parsed.query), extras)
+        except Exception as exc:
+            status = 500
+            if isinstance(exc, OpsError):
+                status = exc.status
+                headers.update(exc.headers)
+            body = json.dumps({"error": str(exc), "status": status}) + "\n"
+            ctype = _JSON
+            handle.annotate(error=type(exc).__name__, error_message=str(exc))
+        handle.annotate(status=status)
+        if respond is not None:
+            respond(status, body, ctype, headers, handle)
+    ops.finish_request(
+        method, parsed.path, status, time.perf_counter() - started, handle, extras
+    )
+    return status, body
 
 
 class OpsServer:
@@ -838,33 +845,15 @@ class OpsServer:
 
 
 def drive_request(server: OpsServer, path: str) -> Tuple[int, str]:
-    """Run one request through the full in-process pipeline, no socket.
+    """Run one ``GET`` through the full in-process pipeline, no socket.
 
-    Exactly what the HTTP handler does minus the framing: open a
-    :class:`request_trace`, dispatch, then ``finish_request`` (sampler,
-    flight recorder, request log, SLO engine).  The CLI ``slo`` command
-    and the telemetry benchmarks use it to drive the always-on pipeline
+    Exactly what the HTTP handler does minus the framing — the same
+    :func:`_serve` body: trace, dispatch, error mapping, then
+    ``finish_request``.  The CLI ``slo`` command and the telemetry
+    benchmarks use it to drive the always-on pipeline
     deterministically.  Returns ``(status, body)``.
     """
-    parsed = urlsplit(path)
-    extras: Dict[str, object] = {}
-    started = time.perf_counter()
-    status = 500
-    labels = {"path": server.route(parsed.path)}
-    with request_trace("ops.request", labels=labels, method="GET", path=parsed.path) as handle:
-        try:
-            status, body, _ = server.dispatch(
-                parsed.path, parse_qs(parsed.query), extras
-            )
-        except OpsError as exc:
-            status = exc.status
-            body = json.dumps({"error": str(exc), "status": status}) + "\n"
-            handle.annotate(error=type(exc).__name__, error_message=str(exc))
-        handle.annotate(status=status)
-    server.finish_request(
-        "GET", parsed.path, status, time.perf_counter() - started, handle, extras
-    )
-    return status, body
+    return _serve(server, "GET", path)
 
 
 # -- self-check ------------------------------------------------------------------

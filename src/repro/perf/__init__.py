@@ -33,9 +33,8 @@ Typical usage::
     with perf.uncached():           # scoped opt-out (the oracle uses this)
         ground_truth = recompute()
 
-Hit/miss counts are always kept per table; when ``repro.obs`` is
-enabled they are mirrored as ``cache.<table>.hits`` / ``.misses``
-counters so ``python -m repro stats --caches`` shows both views.
+Hit/miss counts are always kept per table, and every surface reads
+them there (``python -m repro stats --caches``, ``/metrics``).
 See ``docs/PERFORMANCE.md`` for keys, eviction and safety invariants.
 """
 

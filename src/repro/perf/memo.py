@@ -1,11 +1,9 @@
 """Size-bounded LRU memo tables — the memoization half of ``repro.perf``.
 
 A :class:`LRUCache` is a keyed table with a hard capacity, least-
-recently-used eviction and always-on hit/miss/eviction books.  When the
-global observability switch is on, every lookup is additionally mirrored
-into ``repro.obs`` counters (``cache.<name>.hits`` /
-``cache.<name>.misses``) so cache effectiveness shows up in ``python -m
-repro stats`` next to the rest of the instrumentation.
+recently-used eviction and always-on hit/miss/eviction books.  Those
+books are the only ones: ``/metrics``, ``/statusz`` and ``python -m
+repro stats --caches`` read them off the tables.
 
 Keys must be hashable and **must determine the cached value exactly**:
 the caches in this package are only installed behind keys derived from
@@ -26,8 +24,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional
-
-from ..obs.state import STATE as _OBS
 
 #: Unique sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
@@ -62,18 +58,13 @@ class LRUCache:
             value = self._data.get(key, MISS)
             if value is MISS:
                 self.misses += 1
-                hit = False
             else:
                 self._data.move_to_end(key)
                 self.hits += 1
-                hit = True
-        if _OBS.enabled:
-            _OBS.metrics.inc(f"cache.{self.name}.{'hits' if hit else 'misses'}")
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) a key, evicting the LRU entry when full."""
-        evicted = False
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
@@ -81,9 +72,6 @@ class LRUCache:
             if len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.evictions += 1
-                evicted = True
-        if evicted and _OBS.enabled:
-            _OBS.metrics.inc(f"cache.{self.name}.evictions")
 
     def get_or_put(self, key: Hashable, value: Any) -> Any:
         """Intern-style upsert: the previously cached equal value when

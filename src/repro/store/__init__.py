@@ -12,6 +12,7 @@ is the query/answer history folded into one incomplete tree (Theorems
   replay cost, with journal compaction;
 * :mod:`~repro.store.session` — :class:`SessionStore`, managing many
   named sessions under one root directory with single-writer locking.
+  The store holds bytes; the Webhouse alone replays them.
 
 Typical usage::
 
@@ -48,7 +49,6 @@ from .codec import (
 )
 from .journal import Journal, JournalError, JournalRecord
 from .session import (
-    RecoveredState,
     Session,
     SessionLockedError,
     SessionStore,
@@ -61,7 +61,6 @@ __all__ = [
     "Journal",
     "JournalError",
     "JournalRecord",
-    "RecoveredState",
     "Session",
     "SessionLockedError",
     "SessionStore",

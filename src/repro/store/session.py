@@ -9,12 +9,17 @@ Layout (see ``docs/PERSISTENCE.md``)::
         snapshot-XXXXXXXX.json# checkpoints (snapshot.py)
         lock                  # advisory single-writer lock (pid)
 
+Every durable session lives flat under the root, whoever writes it:
+the ``session`` CLI and a durable cluster pool both use
+``<root>/<name>/``.
+
 A :class:`Session` is the handle a :class:`~repro.mediator.webhouse.Webhouse`
-attaches to: every knowledge mutation becomes one journal event, and
-:meth:`Session.recover` rebuilds the warehouse state by loading the
-newest snapshot and replaying the journal suffix with Algorithm Refine —
-Theorem 3.5 guarantees the replayed state is equivalent to the one the
-crashed process held.
+attaches to: every knowledge mutation becomes one journal event.  The
+store holds bytes only; :meth:`Session.load` hands the newest readable
+snapshot and the journal events after it to the Webhouse, which alone
+gives them meaning by replaying each event through the transitions its
+live mutations run — Theorem 3.5 guarantees the replayed state is
+equivalent to the one the crashed process held.
 
 Journal event vocabulary (all queries/answers via :mod:`.codec`):
 
@@ -33,19 +38,12 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.query import PSQuery
 from ..core.tree import DataTree
 from ..core.treetype import TreeType
 from ..incomplete.incomplete_tree import IncompleteTree
-from ..obs.spans import span as _span
-from ..obs.state import STATE as _OBS
-from ..refine.heuristics import forget_specializations
-from ..refine.inverse import universal_incomplete
-from ..refine.minimize import merge_equivalent_symbols
-from ..refine.refine import refine
 from . import codec
 from .journal import Journal
 from .snapshot import (
@@ -60,6 +58,8 @@ META_FILENAME = "meta.json"
 JOURNAL_FILENAME = "journal.jsonl"
 LOCK_FILENAME = "lock"
 
+History = List[Tuple[PSQuery, DataTree]]
+
 #: Event types that mutate the knowledge state (and therefore count
 #: toward the snapshot threshold).
 MUTATING_EVENTS = frozenset({"record", "reset", "compact"})
@@ -71,16 +71,6 @@ class StoreError(ValueError):
 
 class SessionLockedError(StoreError):
     """Another live process holds the session's writer lock."""
-
-
-@dataclass
-class RecoveredState:
-    """What :meth:`Session.recover` reconstructs from disk."""
-
-    state: IncompleteTree
-    history: List[Tuple[PSQuery, DataTree]]
-    replayed: int  # journal records applied on top of the snapshot
-    snapshot_seq: int  # 0 when recovery was pure replay
 
 
 def _pid_alive(pid: int) -> bool:
@@ -152,8 +142,10 @@ class Session:
         except Exception:
             self._lock.release()
             raise
-        loaded = latest_snapshot(directory)
-        self._snapshot_upto = 0 if loaded is None else loaded[0]
+        # decoded once per open: it sets the seq floor now, and load()
+        # hands it over
+        self._loaded = latest_snapshot(directory)
+        self._snapshot_upto = 0 if self._loaded is None else self._loaded[0]
         # a compacted journal may be empty while the snapshot covers
         # 1..n; appends must continue at n+1, not restart at 1
         self._journal.ensure_seq_floor(self._snapshot_upto)
@@ -208,90 +200,31 @@ class Session:
             and record.event.get("type") in MUTATING_EVENTS
         )
 
-    # -- recovery -------------------------------------------------------------
+    # -- loading --------------------------------------------------------------
 
-    def recover(self) -> RecoveredState:
-        """Snapshot + journal-suffix replay (Theorem 3.5 equivalence)."""
-        with _span("store.session.recover") as sp:
-            alphabet = self.alphabet()
-            auto_minimize = self.auto_minimize()
+    def load(self) -> Tuple[int, Optional[IncompleteTree], History, List[Dict[str, Any]]]:
+        """The newest readable snapshot and the journal events after it.
+
+        Returns ``(snapshot_seq, state, history, events)``: ``state`` is
+        None and ``snapshot_seq`` 0 when no snapshot is readable, so the
+        whole journal is the suffix.  The snapshot decoded on open is
+        handed over once; a later call reads the directory again.
+        """
+        loaded, self._loaded = self._loaded, None
+        if loaded is None:
             loaded = latest_snapshot(self._directory)
-            if loaded is None:
-                upto = 0
-                state = universal_incomplete(alphabet)
-                history: List[Tuple[PSQuery, DataTree]] = []
-            else:
-                upto, state, history = loaded
-            self._snapshot_upto = upto
-            replayed = 0
-            for record in self._journal.records():
-                if record.seq <= upto:
-                    continue
-                if self._apply(record.event, history):
-                    state = self._transition(
-                        state, record.event, alphabet, auto_minimize
-                    )
-                replayed += 1
-                if _OBS.enabled:
-                    _OBS.metrics.inc("store.replay.steps")
-            if _OBS.enabled and sp is not None:
-                sp.attrs.update(
-                    snapshot_seq=upto, replayed=replayed, history=len(history)
-                )
-            return RecoveredState(state, history, replayed, upto)
-
-    def _apply(
-        self, event: Dict[str, Any], history: List[Tuple[PSQuery, DataTree]]
-    ) -> bool:
-        """Update the history for one event; True when the state changes."""
-        kind = event.get("type")
-        if kind == "record":
-            history.append(
-                (
-                    codec.query_from_json(event["query"]),
-                    codec.tree_from_json(event["answer"]),
-                )
-            )
-            return True
-        if kind == "reset":
-            history.clear()
-            return True
-        if kind == "compact":
-            return True
-        if kind == "complete":
-            return False
-        raise StoreError(f"unknown journal event type {kind!r}")
-
-    def _transition(
-        self,
-        state: IncompleteTree,
-        event: Dict[str, Any],
-        alphabet: List[str],
-        auto_minimize: bool,
-    ) -> IncompleteTree:
-        """Mirror exactly what the Webhouse mutation methods do."""
-        kind = event["type"]
-        if kind == "record":
-            state = refine(
-                state,
-                codec.query_from_json(event["query"]),
-                codec.tree_from_json(event["answer"]),
-                alphabet,
-            )
-            return merge_equivalent_symbols(state) if auto_minimize else state
-        if kind == "reset":
-            return universal_incomplete(alphabet)
-        if kind == "compact":
-            labels = event.get("labels")
-            return forget_specializations(state, labels)
-        raise StoreError(f"unknown journal event type {kind!r}")
+        upto, state, history = (0, None, []) if loaded is None else loaded
+        events = [
+            record.event for record in self._journal.records() if record.seq > upto
+        ]
+        return upto, state, history, events
 
     # -- checkpointing --------------------------------------------------------
 
     def snapshot(
         self,
         state: IncompleteTree,
-        history: List[Tuple[PSQuery, DataTree]],
+        history: History,
         compact_journal: bool = True,
         keep: int = 2,
     ) -> str:
@@ -310,15 +243,14 @@ class Session:
             path = write_snapshot(self._directory, upto, state, history)
         except SnapshotError as exc:
             raise StoreError(str(exc))
+        self._loaded = None
         self._snapshot_upto = upto
         if compact_journal:
             self._journal.compact(upto)
         prune_snapshots(self._directory, keep=keep)
         return path
 
-    def maybe_snapshot(
-        self, state: IncompleteTree, history: List[Tuple[PSQuery, DataTree]]
-    ) -> Optional[str]:
+    def maybe_snapshot(self, state: IncompleteTree, history: History) -> Optional[str]:
         """Checkpoint when replay cost crosses the threshold."""
         if self.mutations_pending() >= self._snapshot_every:
             return self.snapshot(state, history)
@@ -371,26 +303,6 @@ class SessionStore:
     @property
     def root(self) -> str:
         return self._root
-
-    def shard(self, index: int) -> "SessionStore":
-        """A namespaced sub-store for one cluster shard.
-
-        Shard ``i``'s sessions live under ``<root>/shard-NNNN/`` so each
-        shard journals and snapshots independently: no shared journal
-        tail, no cross-shard lock contention, and a shard can be moved
-        to another process by moving one directory.  Session *names*
-        stay unchanged inside the namespace — the consistent-hash
-        router (``repro.cluster.ring``) decides which shard directory a
-        session key lives in, and because routing is stable across
-        processes a resumed cluster finds every session where it left
-        it.
-        """
-        if index < 0:
-            raise StoreError(f"invalid shard index {index!r}")
-        return SessionStore(
-            os.path.join(self._root, f"shard-{index:04d}"),
-            snapshot_every=self._snapshot_every,
-        )
 
     def _session_dir(self, name: str) -> str:
         if not name or name != os.path.basename(name) or name.startswith("."):

@@ -521,50 +521,53 @@ class TestShardedWebhouse:
 
 
 class TestDurableCluster:
-    def test_store_shard_namespaces(self, tmp_path):
-        store = SessionStore(str(tmp_path))
-        sub0, sub1 = store.shard(0), store.shard(1)
-        assert sub0.root != sub1.root
-        assert sub0.root.startswith(store.root)
-        session = sub0.create("alice", CATALOG_ALPHABET, tree_type=catalog_type())
-        session.close()
-        assert sub0.list_sessions() == ["alice"]
-        assert sub1.list_sessions() == []
-
-    def test_cluster_resumes_sessions_into_same_shards(self, tmp_path):
+    @pytest.mark.parametrize("reopen", [1, 2, 3, 8])
+    def test_cluster_resumes_sessions_into_same_shards(self, tmp_path, reopen):
+        """Written at 3 shards and reopened at any count, every session
+        comes back on the shard its key routes to, with its full
+        history: sessions live flat under the root, so routing is an
+        in-memory decision."""
         source = _catalog_source()
-        store = SessionStore(str(tmp_path))
-        cluster = _cluster(3, store=store)
-        keys = [f"tenant-{i}" for i in range(5)]
+        cluster = _cluster(3, store=SessionStore(str(tmp_path)))
+        keys = [f"tenant-{i}" for i in range(12)]
         try:
-            for key in keys:
+            for i, key in enumerate(keys):
                 cluster.ask(key, source, query1())
-            placement = {key: cluster.shard_of(key) for key in keys}
-            before = {key: cluster.answer(key, query1()) for key in keys}
+                if i % 2:
+                    cluster.ask(key, source, query2())
+            before = {key: cluster.answer_info(key, query1()) for key in keys}
         finally:
             cluster.close()
 
-        resumed = _cluster(3, store=SessionStore(str(tmp_path)))
+        resumed = _cluster(reopen, store=SessionStore(str(tmp_path)))
         try:
             assert resumed.sessions() == sorted(keys)
+            per_shard = resumed.stats_all()["per_shard"]
             for key in keys:
-                assert resumed.shard_of(key) == placement[key]
-                sure, more = resumed.answer(key, query1())
-                assert _tree_facts(sure) == _tree_facts(before[key][0])
-                assert more == before[key][1]
+                shard = resumed.shard_of(key)
+                assert key in per_shard[shard]["session_keys"]
+                info = resumed.answer_info(key, query1())
+                assert info["queries_recorded"] == before[key]["queries_recorded"]
+                assert _tree_facts(info["sure"]) == _tree_facts(before[key]["sure"])
+                assert info["may_have_more"] == before[key]["may_have_more"]
         finally:
             resumed.close()
 
-    def test_resent_record_lands_once(self, tmp_path):
-        """A client re-sending the pair it just recorded does not
-        double-record it, open or after a restart."""
+    @pytest.mark.parametrize("op", ["record", "ask"])
+    def test_resent_record_lands_once(self, tmp_path, op):
+        """A client re-sending the pair it just wrote — by ``record`` or
+        by a keyed fetch — does not double-record it, open or after a
+        restart."""
         source = _catalog_source()
         query = query1()
         answer = source.ask(query)
         cluster = _cluster(2, store=SessionStore(str(tmp_path)))
         try:
-            cluster.record("alice", query, answer)
-            cluster.record("alice", query, answer)
+            for _ in range(2):
+                if op == "record":
+                    cluster.record("alice", query, answer)
+                else:
+                    cluster.ask("alice", source, query)
             assert cluster.answer_info("alice", query)["queries_recorded"] == 1
         finally:
             cluster.close()
@@ -573,6 +576,55 @@ class TestDurableCluster:
             assert resumed.answer_info("alice", query)["queries_recorded"] == 1
         finally:
             resumed.close()
+
+    def test_session_created_after_resize_is_journaled(self, tmp_path):
+        """resized() hands the store over: a session the new pool
+        creates is journaled, an old one keeps journaling, and both
+        survive a reopen."""
+        source = _catalog_source()
+        cluster = _cluster(2, store=SessionStore(str(tmp_path)))
+        try:
+            cluster.ask("alice", source, query1())
+            resized, _ = cluster.resized(3)
+        finally:
+            cluster.close()  # the old pool holds nothing after the hand-over
+        try:
+            resized.ask("alice", source, query2())
+            resized.ask("bob", source, query2())
+        finally:
+            resized.close()
+        reopened = _cluster(3, store=SessionStore(str(tmp_path)))
+        try:
+            assert reopened.sessions() == ["alice", "bob"]
+            assert reopened.answer_info("alice", query1())["queries_recorded"] == 2
+            assert reopened.answer_info("bob", query1())["queries_recorded"] == 1
+        finally:
+            reopened.close()
+
+    def test_pool_and_session_cli_share_the_root(self, tmp_path):
+        """A durable pool and ``python -m repro session`` see the same
+        sessions: the pool resumes one the CLI created, and the CLI
+        reads one the pool wrote."""
+        from repro.__main__ import main
+
+        root = str(tmp_path)
+        session = ["repro", "session"]
+        assert main([*session, "create", "cli", "--root", root, "--seed", "7"]) == 0
+        assert main([*session, "ask", "cli", "q1", "--root", root]) == 0
+        source = _catalog_source()
+        cluster = _cluster(2, store=SessionStore(root))
+        try:
+            assert cluster.sessions() == ["cli"]
+            assert cluster.answer_info("cli", query1())["queries_recorded"] == 1
+            cluster.ask("pool", source, query1())
+        finally:
+            cluster.close()
+        assert SessionStore(root).list_sessions() == ["cli", "pool"]
+        resumed = Webhouse.resume(SessionStore(root), "pool")
+        try:
+            assert len(resumed.history) == 1
+        finally:
+            resumed.detach()
 
 
 # -- mono reference --------------------------------------------------------------
@@ -1027,11 +1079,13 @@ class TestClusterResilience:
         finally:
             cluster.close()
 
-    def test_retry_revives_the_engine_and_absorbs_a_torn_write(self, tmp_path):
-        """A transient store fault inside record must not surface: the
-        wedged engine is revived from its journal and the retry lands —
-        exactly once, even when the crashed attempt already persisted
-        the pair (fsync-crash + dedupe)."""
+    @pytest.mark.parametrize("op", ["record", "ask"])
+    def test_retry_revives_the_engine_and_absorbs_a_torn_write(self, tmp_path, op):
+        """A transient store fault inside a keyed write must not
+        surface: the wedged engine is revived from its journal and the
+        retry lands — exactly once, even when the crashed attempt
+        already persisted the pair (fsync-crash + dedupe).  ``record``
+        and a keyed fetch share that rule."""
         from repro.faults.inject import fault_scope
         from repro.faults.plan import FaultPlan
 
@@ -1044,11 +1098,13 @@ class TestClusterResilience:
             for effect, pair in (("torn", torn_pair), ("fsync", fsync_pair)):
                 plan = FaultPlan.parse(f"store.journal.append:{effect}:nth=1")
                 with fault_scope(plan):
-                    cluster.record("alice", *pair)
-            # one ask + two records; the fsync-crashed pair was already
+                    if op == "record":
+                        cluster.record("alice", *pair)
+                    else:
+                        cluster.ask("alice", source, pair[0])
+            # one ask + two writes; the fsync-crashed pair was already
             # durable when the retry ran, so dedupe kept it exactly once
             assert cluster.answer_info("alice", query1())["queries_recorded"] == 3
-            shard = cluster.shard_of("alice")
         finally:
             cluster.close()
 
@@ -1057,7 +1113,7 @@ class TestClusterResilience:
             assert resumed.answer_info("alice", query1())["queries_recorded"] == 3
         finally:
             resumed.close()
-        engine = Webhouse.resume(SessionStore(str(tmp_path)).shard(shard), "alice")
+        engine = Webhouse.resume(SessionStore(str(tmp_path)), "alice")
         try:
             assert len(engine.history) == 3
             assert list(engine.history) == [

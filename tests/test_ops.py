@@ -485,9 +485,9 @@ class TestHostedSessions:
 
 class TestPrometheusCacheSeries:
     def test_cache_counters_exported_and_deduplicated(self):
-        """Counters come from the perf books; the obs mirror counters
-        (cache.*) must not produce duplicate families."""
-        obs.enable(obs.RingBufferSink())  # so LRUCache mirrors into obs too
+        """Counters come from the perf books, one family each, with obs
+        on as under ``serve``."""
+        obs.enable(obs.RingBufferSink())
         with perf.cached():
             from repro.refine.refine import refine_sequence
             from repro.workloads.catalog import demo_catalog
@@ -677,6 +677,40 @@ class TestAlwaysOnTelemetry:
         assert sorted(latency) == ["/ask", "all", UNMATCHED]
         assert latency["all"]["count"] == 501
         assert latency[UNMATCHED]["count"] == 500
+
+    def test_crashing_route_books_alike_over_http_and_drive_request(self):
+        """A route that raises is one 500 that the request log and the
+        SLO engine each count once — over HTTP and through
+        drive_request alike, because both run one request body."""
+        from repro.ops.server import drive_request
+
+        def crash(_params, _extras):
+            raise RuntimeError("route crashed")
+
+        def books(srv):
+            (availability,) = [
+                o for o in srv.slo.snapshot()["objectives"]
+                if o["name"].startswith("availability")
+            ]
+            return srv.request_log.logged, availability["lifetime"]["bad"]
+
+        webhouse, source = demo_webhouse(products=3)
+        live = OpsServer(webhouse, source=source).start()
+        inproc = OpsServer(webhouse, source=source)
+        try:
+            for srv in (live, inproc):
+                srv._routes["/healthz"] = crash
+            status, _, body = _get(live.url + "/healthz")
+            _wait_until(lambda: books(live) == (1, 1))
+            assert (status, json.loads(body)["error"]) == (500, "route crashed")
+            status, body = drive_request(inproc, "/healthz")
+            assert (status, json.loads(body)["error"]) == (500, "route crashed")
+            assert books(live) == books(inproc) == (1, 1)
+            (row,) = inproc.request_log.recent()
+            assert (row["path"], row["status"]) == ("/healthz", 500)
+        finally:
+            live.stop()
+            inproc.request_log.close()
 
     def test_flight_recorder_keep_reasons(self, server):
         _get(server.url + "/ask?q=q1")

@@ -109,17 +109,21 @@ class TestGlobalSwitch:
         perf.clear_caches()
         assert len(STATE.caches["matching"]) == 0
 
-    def test_hit_counters_reach_obs(self):
-        """With observability on, lookups mirror into obs counters."""
+    def test_hit_counters_live_in_the_tables(self):
+        """The tables' own books are the only cache counters: lookups
+        show in cache_stats() and add nothing to the obs registry."""
         perf.clear_caches()
+        table = STATE.caches["matching"]
+        table.reset_stats()
         with obs.capture(), perf.cached():
-            STATE.caches["matching"].get("nope")
-            STATE.caches["matching"].put("probe", 1)
-            STATE.caches["matching"].get("probe")
+            table.get("nope")
+            table.put("probe", 1)
+            table.get("probe")
             counters = obs.snapshot()["metrics"]["counters"]
+        stats = perf.cache_stats()["tables"]["matching"]
         perf.clear_caches()
-        assert counters.get("cache.matching.misses", 0) >= 1
-        assert counters.get("cache.matching.hits", 0) >= 1
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert not any(name.startswith("cache.") for name in counters)
 
 
 class TestWebhouseRecordMany:

@@ -460,6 +460,30 @@ class TestWebhouseSessions:
         assert incomplete_equivalent(resumed._state, from_scratch)
         resumed.detach()
 
+    def test_resume_decodes_the_snapshot_once(self, setting, monkeypatch):
+        """Opening a session decodes its newest snapshot and the replay
+        reuses it: one snapshot read per resume."""
+        from repro.store import snapshot
+
+        tt, doc, source, store = setting
+        snap_store = SessionStore(store.root, snapshot_every=1)
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=tt)
+        wh.attach(snap_store.create("once", CATALOG_ALPHABET, tree_type=tt))
+        for query in (query1(), query2()):
+            wh.ask(source, query)
+        wh.detach()
+        reads = []
+        read = snapshot._read_snapshot
+        monkeypatch.setattr(
+            snapshot, "_read_snapshot", lambda path: reads.append(path) or read(path)
+        )
+        resumed = Webhouse.resume(snap_store, "once")
+        try:
+            assert len(reads) == 1
+            assert resumed.history == wh.history
+        finally:
+            resumed.detach()
+
     def test_reset_and_compact_survive_resume(self, setting):
         tt, doc, source, store = setting
         wh = Webhouse(CATALOG_ALPHABET, tree_type=tt)
