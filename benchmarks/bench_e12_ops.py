@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """E12-ops: concurrent load against the live ops plane.
 
-Starts an in-process :class:`repro.ops.OpsServer` hosting a catalog
-webhouse, then hammers it with threaded HTTP clients alternating
-``/ask`` (all four catalog queries), ``/metrics`` and ``/healthz``,
-plus a deliberate stream of malformed queries.  Reports per-endpoint
-latency percentiles, request throughput, the HTTP overhead over calling
-the engine directly, and verifies the ops-plane contracts under load:
+Starts an in-process :class:`repro.ops.OpsServer` over a one-shard
+catalog pool (:func:`repro.ops.demo_cluster`), then hammers it with
+threaded HTTP clients alternating ``/ask`` (all four catalog queries),
+``/metrics`` and ``/healthz``, plus a deliberate stream of malformed
+queries.  Reports per-endpoint latency percentiles, request throughput,
+the HTTP overhead over calling the engine directly, and verifies the
+ops-plane contracts under load:
 
 * every response carries a unique ``X-Repro-Trace-Id``;
 * no cross-thread span parentage (every span of a retained trace root
@@ -43,7 +44,7 @@ from repro.obs.export import (  # noqa: E402
     validate_chrome_trace,
     validate_prometheus_text,
 )
-from repro.ops import FlightRecorder, OpsServer, demo_webhouse  # noqa: E402
+from repro.ops import FlightRecorder, OpsServer, demo_cluster  # noqa: E402
 from repro.workloads.catalog import query1  # noqa: E402
 
 #: Where the result document goes (repo root, committed).
@@ -94,8 +95,8 @@ def run_load():
         capacity=THREADS * REQUESTS_PER_THREAD + 16,
         errored_capacity=ERROR_REQUESTS + 16,
     )
-    webhouse, source = demo_webhouse(products=6)
-    server = OpsServer(webhouse, source=source, recorder=recorder).start()
+    cluster, source = demo_cluster(shards=1, products=6)
+    server = OpsServer(cluster, source=source, recorder=recorder).start()
     base = server.url
     results = []
     results_lock = threading.Lock()
@@ -125,13 +126,15 @@ def run_load():
 
     # direct-call baseline for the /ask overhead figure
     q = query1()
+    engine = cluster.engine("demo")
     direct = []
     for _ in range(50):
         t0 = time.perf_counter()
-        webhouse.answer_with_caveats(q)
+        engine.answer_with_caveats(q)
         direct.append(time.perf_counter() - t0)
 
     server.stop()
+    cluster.close()
     return {
         "results": results,
         "error_rows": error_rows,

@@ -1,26 +1,28 @@
 #!/usr/bin/env python
-"""E13-cluster: sharded pool vs single engine under concurrent load.
+"""E13-cluster: sharded pool vs one merged session under concurrent load.
 
 The cluster's scaling argument is *knowledge locality*, not raw thread
-parallelism: a PR-6 style single engine serving many tenants merges
-every tenant's facts into ONE representation, so every local answer
-pays the full-corpus knowledge cost (Refine products grow with each
-distinct recorded query); the sharded pool keeps one small engine per
-session, so each answer pays only that session's cost — and shards
-serve reads concurrently behind per-shard readers-writer locks.
+parallelism: one engine serving many tenants merges every tenant's
+facts into ONE representation, so every local answer pays the
+full-corpus knowledge cost (Refine products grow with each distinct
+recorded query); the sharded pool keeps one small engine per session,
+so each answer pays only that session's cost — and shards serve reads
+concurrently behind per-shard readers-writer locks.
 
 The benchmark runs the same fleet workload twice over HTTP:
 
-* **mono** — one ``OpsServer`` + one ``Webhouse`` pre-loaded with the
-  *deduplicated* union of every tenant's queries (the single engine's
-  best case: no duplicate refinement), hammered by N client threads
-  with local ``/ask`` requests;
-* **cluster** — ``OpsServer(cluster=...)`` over a 4-shard pool with 16
-  tenant sessions (2 queries each), the same N threads asking each
-  tenant's own queries via ``/ask?q=...&session=tenant-K``.
+* **mono** — an ``OpsServer`` over a one-shard pool whose one session
+  holds the *deduplicated* union of every tenant's queries (the merged
+  engine's best case: no duplicate refinement), hammered by N client
+  threads with ``/ask?q=...&session=mono`` requests — the same routed,
+  one-lock read the cluster side takes, so the comparison measures
+  knowledge locality alone;
+* **cluster** — an ``OpsServer`` over a 4-shard pool with 16 tenant
+  sessions (2 queries each), the same N threads asking each tenant's
+  own queries via ``/ask?q=...&session=tenant-K``.
 
 Acceptance criterion (ISSUE 7): aggregate ``/ask`` throughput at
-4 shards / 8 client threads must be **>= 2x** the single-engine
+4 shards / 8 client threads must be **>= 2x** the merged-session
 baseline.  The document also reports scatter-gather ``ask_all``
 latency and re-verifies shard-count invariance (1 vs 8 shards produce
 identical certain answers — Theorems 3.5 / 2.8).
@@ -52,7 +54,6 @@ import repro.obs as obs  # noqa: E402
 from repro.cluster import ShardedWebhouse  # noqa: E402
 from repro.core.parsing import parse_query_spec  # noqa: E402
 from repro.mediator.source import InMemorySource  # noqa: E402
-from repro.mediator.webhouse import Webhouse  # noqa: E402
 from repro.ops import OpsServer  # noqa: E402
 from repro.workloads.catalog import (  # noqa: E402
     CATALOG_ALPHABET,
@@ -151,23 +152,24 @@ def _percentiles(samples):
 
 
 def run_mono():
-    """The single-engine baseline: deduped fleet corpus, one lock domain."""
+    """The merged baseline: deduped fleet corpus in one session."""
     source = _source()
-    webhouse = Webhouse(CATALOG_ALPHABET, tree_type=catalog_type())
+    cluster = ShardedWebhouse(CATALOG_ALPHABET, tree_type=catalog_type(), shards=1)
     for query in _queries():
-        webhouse.ask(source, query)
-    webhouse.prepare()
-    server = OpsServer(webhouse, source=source).start()
+        cluster.ask("mono", source, query)
+    server = OpsServer(cluster, source=source).start()
 
     def endpoints(worker: int):
         for i in range(REQUESTS_PER_THREAD):
             tenant = (worker * REQUESTS_PER_THREAD + i) % SESSIONS
             spec = _tenant_specs(tenant)[i % 2]
-            yield f"/ask?q={quote(spec, safe='')}"
+            yield f"/ask?q={quote(spec, safe='')}&session=mono"
 
     rows, wall_s = _hammer(server.url, endpoints)
     server.stop()
-    return {"rows": rows, "wall_s": wall_s, "knowledge_size": webhouse.size()}
+    knowledge_size = cluster.size()
+    cluster.close()
+    return {"rows": rows, "wall_s": wall_s, "knowledge_size": knowledge_size}
 
 
 def build_cluster(shards: int) -> ShardedWebhouse:
@@ -188,7 +190,7 @@ def build_cluster(shards: int) -> ShardedWebhouse:
 def run_cluster():
     """The pool under the same client load, asks routed per tenant."""
     cluster = build_cluster(SHARDS)
-    server = OpsServer(cluster=cluster, source=_source()).start()
+    server = OpsServer(cluster, source=_source()).start()
 
     def endpoints(worker: int):
         for i in range(REQUESTS_PER_THREAD):
@@ -302,7 +304,7 @@ def main(argv) -> int:
     obs.enable(obs.RingBufferSink())
     try:
         print(
-            f"mono baseline: 1 engine, {len(SPECS)} deduped queries, "
+            f"mono baseline: 1 session, {len(SPECS)} deduped queries, "
             f"{CLIENT_THREADS} threads x {REQUESTS_PER_THREAD} asks..."
         )
         mono = run_mono()

@@ -46,7 +46,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import repro.obs as obs  # noqa: E402
 from repro.cluster import ShardedWebhouse  # noqa: E402
 from repro.mediator.source import InMemorySource  # noqa: E402
-from repro.ops import OpsServer, demo_webhouse  # noqa: E402
+from repro.ops import OpsServer, demo_cluster  # noqa: E402
 from repro.ops.server import drive_request  # noqa: E402
 from repro.workloads.catalog import (  # noqa: E402
     CATALOG_ALPHABET,
@@ -104,11 +104,11 @@ def run_overhead():
     """
     obs.reset()
     obs.disable()
-    base_house, base_source = demo_webhouse(PRODUCTS, seed=SEED)
-    baseline = OpsServer(base_house, source=base_source)
+    base_pool, base_source = demo_cluster(1, PRODUCTS, seed=SEED)
+    baseline = OpsServer(base_pool, source=base_source)
 
-    on_house, on_source = demo_webhouse(PRODUCTS, seed=SEED)
-    always_on = OpsServer(on_house, source=on_source)
+    on_pool, on_source = demo_cluster(1, PRODUCTS, seed=SEED)
+    always_on = OpsServer(on_pool, source=on_source)
 
     def with_obs(server, offset, count):
         obs.STATE.enabled = True

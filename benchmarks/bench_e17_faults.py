@@ -51,7 +51,7 @@ import repro.store.snapshot as snapshot_module  # noqa: E402
 from repro.cluster import ShardedWebhouse  # noqa: E402
 from repro.mediator.source import InMemorySource  # noqa: E402
 from repro.mediator.webhouse import Webhouse  # noqa: E402
-from repro.ops import OpsServer, demo_webhouse  # noqa: E402
+from repro.ops import OpsServer, demo_cluster  # noqa: E402
 from repro.ops.server import drive_request  # noqa: E402
 from repro.store import SessionStore  # noqa: E402
 from repro.workloads.catalog import (  # noqa: E402
@@ -139,10 +139,10 @@ def run_overhead():
     """
     obs.reset()
     obs.disable()
-    armed_house, armed_source = demo_webhouse(PRODUCTS, seed=SEED)
-    disarmed = OpsServer(armed_house, source=armed_source)
-    stub_house, stub_source = demo_webhouse(PRODUCTS, seed=SEED)
-    stubbed = OpsServer(stub_house, source=stub_source)
+    armed_pool, armed_source = demo_cluster(1, PRODUCTS, seed=SEED)
+    disarmed = OpsServer(armed_pool, source=armed_source)
+    stub_pool, stub_source = demo_cluster(1, PRODUCTS, seed=SEED)
+    stubbed = OpsServer(stub_pool, source=stub_source)
 
     _drive_batch(disarmed, 0, WARMUP)
     with _gates_stubbed():

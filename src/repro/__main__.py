@@ -55,21 +55,26 @@
     python -m repro serve [--host H] [--port P] [--session NAME]
                           [--root DIR] [--products N] [--seed N]
                           [--shards N] [--backend thread]
-                          [--no-caches] [--request-log FILE]
+                          [--request-log FILE]
                           [--flight-ring N] [--slow-ms MS] [--head-rate R]
                           [--degrade-on-burn] [--once]
-                                              # live ops plane (docs/OPS.md):
+                                              # live ops plane (docs/OPS.md)
+                                              # over a webhouse pool of
+                                              # --shards N (default 1):
                                               # /healthz /statusz /metrics
                                               # /profile /sessions /ask?q=...
                                               # /slo /debug/flightrecorder
                                               # /debug/requests /debug/error;
                                               # --once probes every endpoint
                                               # and exits nonzero on failure;
-                                              # --shards N > 1 serves a
-                                              # sharded webhouse pool
-                                              # (docs/CLUSTER.md): /ask takes
-                                              # session=KEY (routed) or none
-                                              # (fleet-wide union);
+                                              # /ask takes session=KEY
+                                              # (routed) or none (fleet-wide
+                                              # union, docs/CLUSTER.md);
+                                              # without --session the pool is
+                                              # in memory, session "demo"
+                                              # holding Query 1; --session
+                                              # NAME opens the durable pool
+                                              # under --root, NAME included;
                                               # --backend takes only thread
                                               # (docs/PERFORMANCE.md);
                                               # --flight-ring sizes the trace
@@ -79,7 +84,7 @@
                                               # sampling rate, and
                                               # --degrade-on-burn lets a
                                               # burning latency SLO apply its
-                                              # paper remedy to the engine;
+                                              # paper remedy to every session;
                                               # --fault-plan SPEC arms a
                                               # deterministic fault plan
                                               # (docs/ROBUSTNESS.md), also
@@ -433,18 +438,18 @@ def _parse_query_spec(spec: str):
 def _slo_cmd(args: list[str]) -> int:
     """Drive the in-process ops pipeline; print the ``/slo`` document.
 
-    Builds the demo webhouse and an unbound :class:`OpsServer`, pushes
-    ``--requests`` local asks (cycling q1..q4) plus ``--errors``
-    injected 5xx through the same dispatch / finish_request pipeline
-    the HTTP handler runs, then prints the ``/slo`` JSON.  With the
-    default burn thresholds ``--errors 25`` is enough to trip the
-    availability objective's burn alert.  ``--objective`` (repeatable)
-    replaces the default objectives with parsed specs.
+    Builds a one-shard demo pool and an unbound :class:`OpsServer`,
+    pushes ``--requests`` sessionless asks (cycling q1..q4) plus
+    ``--errors`` injected 5xx through the same dispatch /
+    finish_request pipeline the HTTP handler runs, then prints the
+    ``/slo`` JSON.  With the default burn thresholds ``--errors 25`` is
+    enough to trip the availability objective's burn alert.
+    ``--objective`` (repeatable) replaces the default objectives with
+    parsed specs.
     """
     from . import obs
     from .obs.slo import Objective, SloEngine
-    from .ops import OpsServer, demo_webhouse
-    from .ops.server import drive_request
+    from .ops import OpsServer, demo_cluster, drive_request
 
     usage = (
         "usage: python -m repro slo [--objective SPEC]... [--requests N] "
@@ -472,9 +477,9 @@ def _slo_cmd(args: list[str]) -> int:
         return 2
 
     obs.enable(obs.RingBufferSink())
-    webhouse, source = demo_webhouse(products)
+    cluster, source = demo_cluster(1, products)
     server = OpsServer(
-        webhouse,
+        cluster,
         source=source,
         slow_s=slow_ms / 1000.0,
         degrade_on_burn=degrade,
@@ -499,10 +504,9 @@ def _session_cmd(args: list[str]) -> int:
     """
     import json
 
-    from .mediator.source import InMemorySource
     from .mediator.webhouse import Webhouse
     from .store import SessionStore, StoreError
-    from .workloads.catalog import CATALOG_ALPHABET, catalog_type, generate_catalog
+    from .workloads.catalog import CATALOG_ALPHABET, catalog_type, hinted_source
 
     usage = (
         "usage: python -m repro session "
@@ -536,14 +540,6 @@ def _session_cmd(args: list[str]) -> int:
         return 2
     subcommand, positional = args[0], args[1:]
     store = SessionStore(root)
-
-    def open_source(webhouse: Webhouse) -> InMemorySource:
-        workload = (webhouse.session.meta.get("extra") or {}).get("workload", {})
-        document = generate_catalog(
-            int(workload.get("products", products)),
-            seed=int(workload.get("seed", seed)),
-        )
-        return InMemorySource(document, catalog_type())
 
     try:
         if subcommand == "create":
@@ -583,7 +579,9 @@ def _session_cmd(args: list[str]) -> int:
                     if len(positional) != 2:
                         raise ValueError("ask needs NAME and QUERY")
                     query = _parse_query_spec(positional[1])
-                    answer = webhouse.ask(open_source(webhouse), query)
+                    answer = webhouse.ask(
+                        hinted_source(webhouse.source_hint(), products, seed), query
+                    )
                     print(
                         json.dumps(
                             {
@@ -632,46 +630,44 @@ def _session_cmd(args: list[str]) -> int:
 
 
 def _serve_cmd(args: list[str]) -> int:
-    """The live ops plane: serve a webhouse over HTTP (docs/OPS.md).
+    """The live ops plane: serve a webhouse pool over HTTP (docs/OPS.md).
 
-    Without ``--session`` an in-memory catalog webhouse is hosted
-    (``--products``/``--seed`` shape it); with ``--session NAME`` the
-    named durable session is resumed and held (its writer lock is taken
-    for the lifetime of the server).  With ``--shards N`` (N > 1) a
-    sharded webhouse pool is served instead (docs/CLUSTER.md): ``/ask``
-    routes ``session=KEY`` through the consistent-hash ring and answers
-    fleet-wide without one.  Every shard runs in this process
-    (docs/PERFORMANCE.md records why).  ``--once`` starts the server,
-    probes every endpoint from inside the process, prints the report
-    and exits nonzero on any failure, no sleep/poll loop needed.
+    The server fronts a pool of ``--shards`` shards (default 1,
+    docs/CLUSTER.md): ``/ask`` routes ``session=KEY`` through the
+    consistent-hash ring and answers fleet-wide without one.  Without
+    ``--session`` the pool is in memory, even when ``--root`` is given,
+    with Query 1 recorded into session ``demo`` (``--products`` and
+    ``--seed`` shape the catalog).  ``--session NAME`` opens the durable
+    pool under ``--root`` instead: every session there is resumed on its
+    routed shard and held (writer locks taken for the server's
+    lifetime) and NAME must be one of them.  Each session fetches from
+    the catalog its own workload hint names; new sessions observe NAME's
+    catalog and are stamped with its hint, so later invocations
+    regenerate the same document.  Every shard runs in this
+    process (docs/PERFORMANCE.md records why).  ``--once`` starts the
+    server, probes every endpoint from inside the process (reads only),
+    prints the report and exits nonzero on any failure, no sleep/poll
+    loop needed.
     """
     import json
 
     from . import obs
     from . import perf
-    from .ops import (
-        FlightRecorder,
-        OpsServer,
-        RequestLog,
-        demo_cluster,
-        demo_webhouse,
-        hosted_webhouse,
-        self_check,
-    )
-    from .ops.server import _CLUSTER_PROBES
+    from .cluster import ShardedWebhouse
+    from .ops import FlightRecorder, OpsServer, RequestLog, demo_cluster, self_check
     from .store import SessionStore, StoreError
+    from .workloads.catalog import CATALOG_ALPHABET, catalog_type, hinted_source
 
     usage = (
         "usage: python -m repro serve [--host H] [--port P] [--session NAME] "
         "[--root DIR] [--products N] [--seed N] [--shards N] "
-        "[--backend thread] [--no-caches] "
+        "[--backend thread] "
         "[--request-log FILE] [--flight-ring N] [--slow-ms MS] "
         "[--head-rate R] [--degrade-on-burn] [--fault-plan SPEC] [--once]"
     )
     args = list(args)
     try:
         once = _take_flag(args, "--once")
-        no_caches = _take_flag(args, "--no-caches")
         degrade_on_burn = _take_flag(args, "--degrade-on-burn")
         host = _take_value(args, "--host") or "127.0.0.1"
         port = int(_take_value(args, "--port") or "0")
@@ -703,12 +699,6 @@ def _serve_cmd(args: list[str]) -> int:
             raise ValueError("--slow-ms needs a positive threshold")
         if not 0.0 <= head_rate <= 1.0:
             raise ValueError("--head-rate must be within [0, 1]")
-        cluster_mode = shards > 1
-        if cluster_mode and session_name is not None:
-            raise ValueError(
-                "--session hosts one durable session; it cannot be combined "
-                "with --shards (cluster sessions are keyed per request)"
-            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(usage, file=sys.stderr)
@@ -725,26 +715,33 @@ def _serve_cmd(args: list[str]) -> int:
             return 2
 
     obs.enable(obs.RingBufferSink())
-    if not no_caches:
-        perf.enable_caches()
+    perf.enable_caches()
     store = SessionStore(root)
-    webhouse = cluster = None
-    try:
-        if cluster_mode:
-            cluster, source = demo_cluster(
-                shards, products, seed=None if seed is None else int(seed)
+    if session_name is None:
+        cluster, source = demo_cluster(
+            shards, products, seed=None if seed is None else int(seed)
+        )
+    else:
+        try:
+            hint = store.peek(session_name)["workload"] or {}
+            workload = {
+                "name": "catalog",
+                "products": int(hint.get("products", 10)),
+                "seed": int(hint.get("seed", 0)),
+            }
+            cluster = ShardedWebhouse(
+                CATALOG_ALPHABET,
+                tree_type=catalog_type(),
+                shards=shards,
+                store=store,
+                session_extra={"workload": workload},
             )
-        elif session_name is not None:
-            webhouse, source = hosted_webhouse(store, session_name)
-        else:
-            webhouse, source = demo_webhouse(
-                products, seed=None if seed is None else int(seed)
-            )
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        except StoreError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        source = hinted_source(workload)
     server = OpsServer(
-        webhouse,
+        cluster,
         source=source,
         store=store,
         session_name=session_name,
@@ -752,7 +749,6 @@ def _serve_cmd(args: list[str]) -> int:
         port=port,
         recorder=FlightRecorder(capacity=flight_ring),
         request_log=RequestLog(path=log_path),
-        cluster=cluster,
         slow_s=slow_ms / 1000.0,
         head_rate=head_rate,
         degrade_on_burn=degrade_on_burn,
@@ -761,9 +757,7 @@ def _serve_cmd(args: list[str]) -> int:
     try:
         if once:
             server.start()
-            ok, report = self_check(
-                server.url, probes=_CLUSTER_PROBES if cluster is not None else None
-            )
+            ok, report = self_check(server.url)
             print(
                 json.dumps(
                     {"url": server.url, "ok": ok, "probes": report},
@@ -774,9 +768,9 @@ def _serve_cmd(args: list[str]) -> int:
             server.stop()
             return 0 if ok else 1
         server._bind()
-        mode = f"{shards} shards" if cluster is not None else "single engine"
         print(
-            f"repro ops plane listening on {server.url} ({mode})", file=sys.stderr
+            f"repro ops plane listening on {server.url} ({shards}-shard pool)",
+            file=sys.stderr,
         )
         print(
             f"  endpoints: /healthz /statusz /metrics /profile /sessions "
@@ -786,10 +780,7 @@ def _serve_cmd(args: list[str]) -> int:
         server.serve_forever()
         return 0
     finally:
-        if session_name is not None and webhouse is not None:
-            webhouse.detach()
-        if cluster is not None:
-            cluster.close()
+        cluster.close()
 
 
 def _chaos_cmd(args: list[str]) -> int:

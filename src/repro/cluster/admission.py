@@ -22,7 +22,6 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List
 
-from ..obs.state import STATE as _OBS
 
 #: Backpressure policies understood by the controller.
 POLICIES = ("shed", "wait")
@@ -107,8 +106,6 @@ class AdmissionController:
                     admitted = self._try_admit(gate)
             if not admitted:
                 gate.shed += 1
-                if _OBS.enabled:
-                    _OBS.metrics.inc(f"cluster.shard.{shard}.shed")
                 raise ShardOverloaded(shard, self.max_in_flight, self.policy)
         try:
             yield

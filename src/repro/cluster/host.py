@@ -52,6 +52,7 @@ class ShardHost:
         auto_minimize: bool = False,
         store: Optional["SessionStore"] = None,
         factory: Optional[Callable[[], Webhouse]] = None,
+        session_extra: Optional[Dict[str, object]] = None,
     ):
         self.index = index
         self.alphabet = sorted(set(alphabet))
@@ -59,6 +60,8 @@ class ShardHost:
         self.auto_minimize = auto_minimize
         self.store = store
         self._factory = factory
+        #: extra meta stamped on every durable session this host creates
+        self.session_extra = session_extra
         #: session key -> its engine
         self.engines: Dict[str, Webhouse] = {}
 
@@ -87,12 +90,12 @@ class ShardHost:
                 self.alphabet,
                 tree_type=self.tree_type,
                 auto_minimize=self.auto_minimize,
+                extra=self.session_extra,
             )
             engine.attach(session)
         self.engines[key] = engine
         if _OBS.enabled:
             _OBS.metrics.inc("cluster.sessions_created")
-            _OBS.metrics.set_gauge(f"shard.{self.index}.sessions", len(self.engines))
         return engine
 
     def _write(self, key: str, change: Callable[[Webhouse], object]) -> object:
@@ -175,10 +178,11 @@ class ShardHost:
         sure, more = engine.answer_with_caveats(query)
         return {"sure": sure, "may_have_more": more, **self._books(engine)}
 
-    def answer_all(self, query: PSQuery) -> List[Tuple[str, DataTree, bool]]:
-        """``(key, sure, may_have_more)`` for every session, key-sorted."""
+    def answer_all(self, query: PSQuery) -> List[Tuple[str, DataTree, bool, int]]:
+        """``(key, sure, may_have_more, knowledge_size)`` for every
+        session, key-sorted."""
         return [
-            (key, *engine.answer_with_caveats(query))
+            (key, *engine.answer_with_caveats(query), engine.size())
             for key, engine in sorted(self.engines.items())
         ]
 

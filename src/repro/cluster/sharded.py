@@ -36,7 +36,9 @@ A durable pool (``store=``) keeps every session flat at
 ``<root>/<key>/``, the layout of ``python -m repro session``: it lists
 the root once when it opens and resumes each session on the shard its
 key routes to.  Routing stays an in-memory decision, so a restart at any
-shard count finds every session.
+shard count finds every session.  ``session_extra`` is stamped into the
+meta of every session the pool creates (``serve --session`` stamps the
+served catalog's workload hint, :meth:`Webhouse.source_hint`).
 
 Every shard op has one implementation, in
 :class:`~repro.cluster.host.ShardHost`.  Each :class:`Shard` holds its
@@ -161,6 +163,7 @@ class ShardedWebhouse:
         admission: Optional[AdmissionController] = None,
         store: Optional["SessionStore"] = None,
         resilience: Optional[ResiliencePolicy] = None,
+        session_extra: Optional[Dict[str, object]] = None,
     ):
         if router is not None and router.shards != shards:
             raise ValueError(
@@ -170,6 +173,7 @@ class ShardedWebhouse:
         self._tree_type = tree_type
         self._auto_minimize = auto_minimize
         self._factory = factory
+        self._session_extra = session_extra
         self.router = router if router is not None else Router(shards, replicas=replicas)
         self._owns_executor = executor is None
         self.executor = executor if executor is not None else Executor(max_workers=shards)
@@ -177,6 +181,7 @@ class ShardedWebhouse:
             admission if admission is not None else AdmissionController(shards)
         )
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
+        self.store = store
         self._shards: List[Shard] = [
             Shard(
                 ShardHost(
@@ -186,6 +191,7 @@ class ShardedWebhouse:
                     auto_minimize=auto_minimize,
                     store=store,
                     factory=factory,
+                    session_extra=session_extra,
                 ),
                 CircuitBreaker(
                     f"shard-{index}",
@@ -325,7 +331,9 @@ class ShardedWebhouse:
 
         Returns ``sure``, ``may_have_more``, ``degraded`` (True when any
         shard's sessions are missing from the union), ``failed_shards``
-        (index → error summary), and ``sessions_answered``.
+        (index → error summary), ``sessions_answered`` and
+        ``knowledge_size`` (summed over the sessions answered), in one
+        pass over each shard.
         """
         with _span("cluster.ask_all", shards=len(self._shards)):
             deadline = (
@@ -341,14 +349,14 @@ class ShardedWebhouse:
                 else:
                     failed[shard.index] = f"CircuitOpen: shard-{shard.index} is open"
 
-            def per_shard(_pos: int, shard: Shard) -> List[Tuple[str, DataTree, bool]]:
+            def per_shard(_pos: int, shard: Shard) -> List[Tuple[str, DataTree, bool, int]]:
                 with self.admission.admit(shard.index):
                     if deadline is not None:
                         deadline.require(f"shard {shard.index} answer_all")
                     return shard.run(lambda host: host.answer_all(query))
 
             outcomes = self.executor.scatter_outcomes(live, per_shard, deadline=deadline)
-            rows: List[Tuple[str, DataTree, bool]] = []
+            rows: List[Tuple[str, DataTree, bool, int]] = []
             for shard, outcome in zip(live, outcomes):
                 if outcome.ok:
                     rows.extend(outcome.value)
@@ -360,7 +368,7 @@ class ShardedWebhouse:
             rows.sort(key=lambda row: row[0])
             merged: Optional[DataTree] = None
             may_have_more = not rows
-            for _key, sure, more in rows:
+            for _key, sure, more, _size in rows:
                 may_have_more = may_have_more or more
                 if sure.is_empty():
                     continue
@@ -376,6 +384,7 @@ class ShardedWebhouse:
                 "degraded": degraded,
                 "failed_shards": failed,
                 "sessions_answered": len(rows),
+                "knowledge_size": sum(row[3] for row in rows),
             }
 
     def apply_remedy(self, remedy: str) -> None:
@@ -463,8 +472,9 @@ class ShardedWebhouse:
         ``n+1`` moves an expected ``1/(n+1)`` of the sessions.  Returns
         the new cluster and the keys that changed shard (the rebalance
         cost a deployment would pay in session migrations).  The
-        resilience policy and admission settings carry over, the
-        admission budget onto a controller sized for ``shards``.
+        resilience policy, the ``session_extra`` stamp and the admission
+        settings carry over, the admission budget onto a controller
+        sized for ``shards``.
         Engines and the store are handed over, not copied: the new
         pool journals to the same flat root without reopening any
         session, and this pool is left empty and in-memory.
@@ -473,8 +483,8 @@ class ShardedWebhouse:
         for shard in self._shards:
             with shard.lock.write_locked():
                 engines.append(shard.host.engines)
-                store = shard.host.store
                 shard.host.engines, shard.host.store = {}, None
+        store, self.store = self.store, None
         admission = self.admission
         new = ShardedWebhouse(
             self._alphabet,
@@ -491,6 +501,7 @@ class ShardedWebhouse:
                 wait_timeout_s=admission.wait_timeout_s,
             ),
             resilience=self.resilience,
+            session_extra=self._session_extra,
         )
         moved: List[str] = []
         for index, shard_engines in enumerate(engines):
@@ -499,6 +510,7 @@ class ShardedWebhouse:
                 new._shards[target].host.engines[key] = engine
                 if target != index:
                     moved.append(key)
+        new.store = store
         for shard in new._shards:
             shard.host.store = store
         return new, sorted(moved)

@@ -6,9 +6,11 @@ after-the-fact: inspectable in-process, after the workload finished.
 This package puts a **live surface** on a running mediator:
 
 * :class:`~repro.ops.server.OpsServer` — a zero-dependency
-  ``http.server`` admin plane (``python -m repro serve``) with
-  ``/healthz``, ``/statusz``, ``/metrics`` (Prometheus), ``/profile``,
-  ``/sessions``, ``/ask`` and ``/debug/flightrecorder``;
+  ``http.server`` admin plane (``python -m repro serve``) in front of
+  one :class:`~repro.cluster.sharded.ShardedWebhouse` (one shard and
+  one ``demo`` session unless told otherwise), with ``/healthz``,
+  ``/statusz``, ``/metrics`` (Prometheus), ``/profile``, ``/sessions``,
+  ``/ask`` and ``/debug/flightrecorder``;
 * :class:`~repro.ops.trace.request_trace` — request-scoped trace
   context: a generated ``trace_id`` bound via ``contextvars``, stamped
   on every engine span the request triggers and returned in the
@@ -30,9 +32,7 @@ from .server import (
     OpsError,
     OpsServer,
     demo_cluster,
-    demo_webhouse,
     drive_request,
-    hosted_webhouse,
     self_check,
 )
 from .trace import TraceHandle, new_trace_id, request_trace
@@ -44,9 +44,7 @@ __all__ = [
     "RequestLog",
     "TraceHandle",
     "demo_cluster",
-    "demo_webhouse",
     "drive_request",
-    "hosted_webhouse",
     "new_trace_id",
     "request_trace",
     "self_check",

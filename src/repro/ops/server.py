@@ -1,19 +1,20 @@
-"""The admin/ops HTTP server: a live surface over a running mediator.
+"""The admin/ops HTTP server: a live surface over a running webhouse pool.
 
 Zero dependencies — stdlib :mod:`http.server` with a threading mixin —
 exposing the observability stack while requests are in flight:
 
 ==========================  ====================================================
 ``/healthz``                liveness probe (``ok``)
-``/statusz``                engine + growth regime + session info, JSON
+``/statusz``                per-shard pool rollup + server books, JSON
 ``/metrics``                Prometheus text exposition (registry + perf caches)
 ``/profile``                aggregated span profile, JSON
 ``/sessions``               durable-store listing (read-only peek, no locks)
-``/ask?q=SPEC``             answer a path query over the hosted session
+``/ask?q=SPEC``             answer a path query, per session or fleet-wide
 ``/slo``                    SLO burn-rate state + sampler books, JSON
 ``/debug/flightrecorder``   retained traces as Chrome trace-event JSON
 ``/debug/requests``         recent structured request-log records, JSON
 ``/debug/error``            fault injection: fail with ``?status=`` (default 500)
+``/debug/faults``           inspect or live-swap the installed fault plan
 ==========================  ====================================================
 
 Every request runs under a :class:`~repro.ops.trace.request_trace`: a
@@ -33,25 +34,22 @@ windows, the :class:`~repro.obs.sample.TraceSampler` (errored/shed/slow
 traces always reach the flight recorder, healthy ones at the head rate)
 and the request log's trace-id exemplars run regardless of the obs
 flag.  With ``degrade_on_burn`` a burning latency SLO applies its paper
-remedy to the hosted engine (``Webhouse.apply_remedy`` — conjunctive /
-linear / lossy).
+remedy to every hosted session (:meth:`ShardedWebhouse.apply_remedy` —
+conjunctive / linear / lossy).
 
-The hosted :class:`~repro.mediator.webhouse.Webhouse` is guarded by a
-readers-writer lock (:class:`~repro.cluster.locks.RWLock`): local
-answering, ``/statusz``, and ``/metrics`` share a read lock, only
-``mode=fetch`` ingestion takes the write side — reads never block
-reads, and a scrape storm cannot starve ingestion (writer-preferring).
-The read endpoints over the obs state (profile, flight recorder) stay
-lock-free with respect to the engine.
-
-With ``cluster=`` (or ``repro serve --shards N``) the server fronts a
-:class:`~repro.cluster.sharded.ShardedWebhouse` instead: ``/ask`` adds
-a ``session=KEY`` parameter routed through the consistent-hash ring,
-``/ask`` *without* a session answers fleet-wide (scatter-gather
-certain-answer union), ``/statusz`` carries the per-shard rollup,
-``/metrics`` exports ``repro_shard_*`` series, and an overloaded shard
-surfaces as HTTP 503 with a ``Retry-After`` hint
-(:class:`~repro.cluster.admission.ShardOverloaded`).
+The server fronts one :class:`~repro.cluster.sharded.ShardedWebhouse`.
+The paper's mediator keeps one incomplete tree per interaction (§3.4),
+so a server hosting one session is a pool holding one session, served
+the same way.  ``/ask?q=SPEC&session=KEY`` is routed through the
+consistent-hash ring; ``/ask`` *without* a session answers fleet-wide
+(scatter-gather certain-answer union); ``/statusz`` carries the
+per-shard rollup and ``/metrics`` the ``repro_shard_*`` series.  The
+server holds no engine lock of its own: every engine access passes the
+pool's per-shard admission gate, circuit breaker and readers-writer
+lock, and an overloaded shard surfaces as HTTP 503 with a
+``Retry-After`` hint (:class:`~repro.cluster.admission.ShardOverloaded`).
+The read endpoints over the obs state (profile, flight recorder) never
+touch the engines.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..cluster import RWLock, ShardedWebhouse, ShardOverloaded
+from ..cluster import ShardedWebhouse, ShardOverloaded
 from ..cluster.sharded import cluster_latency
 from ..core.parsing import parse_query_spec
 from ..faults.inject import (
@@ -75,7 +73,6 @@ from ..faults.inject import (
 from ..faults.plan import FaultError, FaultPlan
 from ..faults.policies import CircuitOpen, DeadlineExceeded
 from ..mediator.source import InMemorySource
-from ..mediator.webhouse import Webhouse
 from ..obs.export import labeled_gauge_lines, prometheus_text
 from ..obs.profile import profile_traces
 from ..obs.registry import merged_summary
@@ -83,6 +80,7 @@ from ..obs.sample import DEFAULT_SLOW_S, TraceSampler
 from ..obs.slo import SloAlert, SloEngine, default_objectives
 from ..obs.spans import LATENCY
 from ..obs.state import STATE as _OBS
+from ..workloads.catalog import hinted_source
 from .flight import FlightRecorder
 from .reqlog import RequestLog
 from .trace import request_trace
@@ -114,54 +112,13 @@ def _named_queries():
     return {"q1": query1, "q2": query2, "q3": query3, "q4": query4}
 
 
-def demo_webhouse(products: int = 8, seed: Optional[int] = None) -> Tuple[Webhouse, InMemorySource]:
-    """An in-memory catalog webhouse + source for sessionless serving.
-
-    Pre-records Query 1 so the served knowledge is non-trivial from the
-    first scrape.
-    """
-    from ..workloads.catalog import (
-        CATALOG_ALPHABET,
-        catalog_type,
-        generate_catalog,
-        query1,
-    )
-
-    tree_type = catalog_type()
-    # the default seed is one where Query 1 has a non-empty answer for
-    # every reasonable catalog size, so /ask?q=q1 demos real knowledge
-    document = generate_catalog(products, seed=7 if seed is None else seed)
-    source = InMemorySource(document, tree_type)
-    webhouse = Webhouse(CATALOG_ALPHABET, tree_type=tree_type)
-    webhouse.ask(source, query1())
-    return webhouse, source
-
-
-def hosted_webhouse(store, name: str) -> Tuple[Webhouse, InMemorySource]:
-    """Resume a durable session for serving, plus its regenerated source.
-
-    The source is rebuilt from the workload parameters the session's
-    meta remembers (:meth:`Webhouse.source_hint`), so ``mode=fetch``
-    asks answer against the same document the journaled knowledge came
-    from.
-    """
-    from ..workloads.catalog import catalog_type, generate_catalog
-
-    webhouse = Webhouse.resume(store, name)
-    hint = webhouse.source_hint()
-    document = generate_catalog(
-        int(hint.get("products", 10)), seed=int(hint.get("seed", 0))
-    )
-    return webhouse, InMemorySource(document, catalog_type())
-
-
 def demo_cluster(
     shards: int = 4,
     products: int = 8,
     seed: Optional[int] = None,
     tenants: int = 0,
 ) -> Tuple[ShardedWebhouse, InMemorySource]:
-    """An in-memory sharded catalog pool + source for cluster serving.
+    """An in-memory sharded catalog pool + source for serving.
 
     Pre-records Query 1 into session ``"demo"`` (the session the
     self-check probes), plus ``tenants`` extra sessions named
@@ -271,21 +228,20 @@ def _serve(
 
 
 class OpsServer:
-    """The live ops plane around one hosted :class:`Webhouse` — or, with
-    ``cluster=``, a :class:`~repro.cluster.sharded.ShardedWebhouse`.
+    """The live ops plane around one
+    :class:`~repro.cluster.sharded.ShardedWebhouse` (by default a
+    one-shard :func:`demo_cluster`).
 
     ``start()`` binds and serves from a daemon thread (``port=0`` picks
     a free port); ``serve_forever()`` blocks instead.  All endpoint
-    handlers run on the server's handler threads.  Single-engine mode
-    guards the webhouse with ``self._engine_lock`` (a readers-writer
-    lock: local answering and scrapes share, ingestion excludes);
-    cluster mode delegates to the pool's per-shard locks and admission
-    gates instead — the server itself holds no engine lock.
+    handlers run on the server's handler threads.  The server holds no
+    engine lock: the pool's per-shard locks and admission gates guard
+    every engine access.
     """
 
     def __init__(
         self,
-        webhouse: Optional[Webhouse] = None,
+        cluster: Optional[ShardedWebhouse] = None,
         source: Optional[InMemorySource] = None,
         store=None,
         session_name: Optional[str] = None,
@@ -293,7 +249,6 @@ class OpsServer:
         port: int = 0,
         recorder: Optional[FlightRecorder] = None,
         request_log: Optional[RequestLog] = None,
-        cluster: Optional[ShardedWebhouse] = None,
         slo: Optional[SloEngine] = None,
         sampler: Optional[TraceSampler] = None,
         slow_s: float = DEFAULT_SLOW_S,
@@ -301,11 +256,8 @@ class OpsServer:
         degrade_on_burn: bool = False,
         fault_plan: Optional[FaultPlan] = None,
     ):
-        if webhouse is not None and cluster is not None:
-            raise ValueError("pass either webhouse or cluster, not both")
-        if webhouse is None and cluster is None:
-            webhouse, source = demo_webhouse()
-        self.webhouse = webhouse
+        if cluster is None:
+            cluster, source = demo_cluster(shards=1)
         self.cluster = cluster
         self.source = source
         self.store = store
@@ -329,7 +281,6 @@ class OpsServer:
         self.remedies_applied: list = []
         if self.degrade_on_burn:
             self.slo.set_degrade(self._degrade_for_burn)
-        self._engine_lock = RWLock()
         self._host = host
         self._port = port
         self._httpd: Optional[_OpsHTTPServer] = None
@@ -486,20 +437,14 @@ class OpsServer:
     def _degrade_for_burn(self, alert: SloAlert) -> None:
         """The SLO degrade hook: apply the alert's paper remedy.
 
-        Wired only when ``degrade_on_burn`` is set.  Single-engine mode
-        applies the remedy under the engine write lock; cluster mode
-        sends it to every shard through the cluster's transport
-        (:meth:`ShardedWebhouse.apply_remedy`), wherever the shard's
-        engines live.
+        Wired only when ``degrade_on_burn`` is set.  The remedy reaches
+        every session on every shard, each under its shard's write lock
+        (:meth:`ShardedWebhouse.apply_remedy`).
         """
         remedy = alert.remedy
         if remedy is None:
             return
-        if self.cluster is not None:
-            self.cluster.apply_remedy(remedy)
-        else:
-            with self._engine_lock.write_locked():
-                self.webhouse.apply_remedy(remedy)
+        self.cluster.apply_remedy(remedy)
         self.remedies_applied.append(remedy)
         if _OBS.enabled:
             _OBS.metrics.inc(f"ops.slo.degrade.{remedy}")
@@ -521,21 +466,9 @@ class OpsServer:
             "requests_logged": self.request_log.logged,
             "sampler": self.sampler.stats(),
             "slo_burning": self.slo.burning(),
+            "cluster": self.cluster.stats_all(),
+            "shards": self.cluster.shards,
         }
-        if self.cluster is not None:
-            document["cluster"] = self.cluster.stats_all()
-            document["shards"] = self.cluster.shards
-        else:
-            with self._engine_lock.read_locked():
-                stats = self.webhouse.stats()
-                session = self.webhouse.session
-                session_info = session.info() if session is not None else None
-            document.update(
-                webhouse=stats,
-                engine=stats["engine"],
-                growth_regime=stats["growth_regime"],
-                session=session_info,
-            )
         return 200, json.dumps(document, sort_keys=True, default=str) + "\n", _JSON
 
     def _cache_summary(self) -> Dict[str, object]:
@@ -553,41 +486,25 @@ class OpsServer:
         if _OBS.enabled:
             # point-in-time gauges refreshed per scrape
             _OBS.metrics.set_gauge("ops.uptime_seconds", round(self.uptime_s, 3))
-            if self.cluster is not None:
-                rollup = self.cluster.stats_all()
-                _OBS.metrics.set_gauge("cluster.shards", rollup["shards"])
-                _OBS.metrics.set_gauge("cluster.sessions", rollup["sessions"])
+            rollup = self.cluster.stats_all()
+            _OBS.metrics.set_gauge("cluster.shards", rollup["shards"])
+            _OBS.metrics.set_gauge("cluster.sessions", rollup["sessions"])
+            _OBS.metrics.set_gauge("cluster.knowledge_size", rollup["knowledge_size"])
+            for stats in rollup["per_shard"]:
+                index = stats["shard"]
+                _OBS.metrics.set_gauge(f"shard.{index}.sessions", stats["sessions"])
                 _OBS.metrics.set_gauge(
-                    "cluster.knowledge_size", rollup["knowledge_size"]
+                    f"shard.{index}.knowledge_size", stats["knowledge_size"]
                 )
-                for stats in rollup["per_shard"]:
-                    index = stats["shard"]
-                    _OBS.metrics.set_gauge(
-                        f"shard.{index}.sessions", stats["sessions"]
-                    )
-                    _OBS.metrics.set_gauge(
-                        f"shard.{index}.knowledge_size", stats["knowledge_size"]
-                    )
-                    _OBS.metrics.set_gauge(
-                        f"shard.{index}.queries_recorded",
-                        stats["queries_recorded"],
-                    )
-                    admission = stats["admission"]
-                    _OBS.metrics.set_gauge(
-                        f"shard.{index}.in_flight", admission["in_flight"]
-                    )
-                    _OBS.metrics.set_gauge(
-                        f"shard.{index}.admitted", admission["admitted"]
-                    )
-                    _OBS.metrics.set_gauge(f"shard.{index}.shed", admission["shed"])
-            else:
-                with self._engine_lock.read_locked():
-                    _OBS.metrics.set_gauge(
-                        "webhouse.knowledge_size_current", self.webhouse.size()
-                    )
-                    _OBS.metrics.set_gauge(
-                        "webhouse.queries_recorded", len(self.webhouse.history)
-                    )
+                _OBS.metrics.set_gauge(
+                    f"shard.{index}.queries_recorded", stats["queries_recorded"]
+                )
+                admission = stats["admission"]
+                _OBS.metrics.set_gauge(
+                    f"shard.{index}.in_flight", admission["in_flight"]
+                )
+                _OBS.metrics.set_gauge(f"shard.{index}.admitted", admission["admitted"])
+                _OBS.metrics.set_gauge(f"shard.{index}.shed", admission["shed"])
         return 200, prometheus_text() + self._telemetry_lines(), _PROM
 
     def _telemetry_lines(self) -> str:
@@ -635,21 +552,26 @@ class OpsServer:
         return 200, json.dumps(profile.to_dict(), sort_keys=True, default=str) + "\n", _JSON
 
     def _handle_sessions(self, params, extras) -> Tuple[int, str, str]:
-        if self.store is None:
-            document = {"root": None, "hosted": self.session_name, "sessions": []}
-        else:
-            document = {
-                "root": self.store.root,
-                "hosted": self.session_name,
-                "sessions": [
-                    self.store.peek(name) for name in self.store.list_sessions()
-                ],
-            }
-        if self.cluster is not None:
-            document["cluster_sessions"] = self.cluster.sessions()
+        store = self.store
+        document = {
+            "root": None if store is None else store.root,
+            "hosted": self.session_name,
+            "sessions": [] if store is None else [
+                store.peek(name) for name in store.list_sessions()
+            ],
+            "cluster_sessions": self.cluster.sessions(),
+        }
         return 200, json.dumps(document, sort_keys=True, default=str) + "\n", _JSON
 
     def _handle_ask(self, params, extras) -> Tuple[int, str, str]:
+        """Answer one query: routed by session key, or fleet-wide.
+
+        ``session=KEY`` answers (or, with ``mode=fetch``, ingests) for
+        exactly one session, routed through the consistent-hash ring.
+        Without a session, ``mode=local`` unions the certain answers of
+        every session in the fleet; fleet-wide fetch is refused — there
+        is no single session whose knowledge the answer would refine.
+        """
         specs = params.get("q")
         if not specs or not specs[0]:
             raise OpsError(400, "missing query parameter q (q1..q4 or a slash path)")
@@ -661,57 +583,7 @@ class OpsServer:
             query = parse_query_spec(spec, named=_named_queries())
         except ValueError as exc:
             raise OpsError(400, f"bad query {spec!r}: {exc}")
-        if self.cluster is not None:
-            document = self._ask_cluster(params, spec, mode, query)
-        else:
-            document = self._ask_single(spec, mode, query)
-        extras["knowledge_size"] = document["knowledge_size"]
-        extras["query"] = spec
-        return 200, json.dumps(document, sort_keys=True) + "\n", _JSON
-
-    def _ask_single(self, spec: str, mode: str, query) -> Dict[str, object]:
-        """Legacy single-engine ``/ask``.
-
-        Local answering is a pure read of the (prepared) knowledge, so
-        it takes the shared side of the engine lock — concurrent local
-        asks proceed in parallel and never block behind each other;
-        only ``mode=fetch`` (which runs Refine) excludes.
-        """
-        if mode == "fetch":
-            if self.source is None:
-                raise OpsError(409, "no source attached; mode=fetch unavailable")
-            with self._engine_lock.write_locked():
-                answer = self.webhouse.ask(self.source, query)
-                self.webhouse.prepare()
-                return {
-                    "query": spec,
-                    "mode": mode,
-                    "answer_nodes": len(answer),
-                    "knowledge_size": self.webhouse.size(),
-                    "queries_recorded": len(self.webhouse.history),
-                    "engine": self.webhouse.engine,
-                }
-        with self._engine_lock.read_locked():
-            sure, may_have_more = self.webhouse.answer_with_caveats(query)
-            return {
-                "query": spec,
-                "mode": mode,
-                "sure_nodes": len(sure),
-                "may_have_more": may_have_more,
-                "knowledge_size": self.webhouse.size(),
-                "queries_recorded": len(self.webhouse.history),
-                "engine": self.webhouse.engine,
-            }
-
-    def _ask_cluster(self, params, spec: str, mode: str, query) -> Dict[str, object]:
-        """Cluster ``/ask``: routed by session key, or fleet-wide union.
-
-        ``session=KEY`` answers (or, with ``mode=fetch``, ingests) for
-        exactly one session, routed through the consistent-hash ring.
-        Without a session, ``mode=local`` unions the certain answers of
-        every session in the fleet; fleet-wide fetch is refused — there
-        is no single session whose knowledge the answer would refine.
-        """
+        document: Dict[str, object] = {"query": spec, "mode": mode}
         keys = params.get("session")
         if keys and keys[0]:
             key = keys[0]
@@ -720,42 +592,51 @@ class OpsServer:
             except ValueError as exc:
                 raise OpsError(400, str(exc))
             if mode == "fetch":
-                if self.source is None:
-                    raise OpsError(409, "no source attached; mode=fetch unavailable")
-                info = self.cluster.ask_info(key, self.source, query)
-                return {
-                    "query": spec,
-                    "mode": mode,
-                    "session": key,
-                    "shard": shard,
-                    "answer_nodes": len(info["answer"]),
-                    "knowledge_size": info["knowledge_size"],
-                    "queries_recorded": info["queries_recorded"],
-                }
-            info = self.cluster.answer_info(key, query)
-            return {
-                "query": spec,
-                "mode": mode,
-                "session": key,
-                "shard": shard,
-                "sure_nodes": len(info["sure"]),
-                "may_have_more": info["may_have_more"],
-                "knowledge_size": info["knowledge_size"],
-                "queries_recorded": info["queries_recorded"],
-            }
-        if mode == "fetch":
-            raise OpsError(400, "mode=fetch needs a session=KEY in cluster mode")
-        sure, may_have_more = self.cluster.ask_all(query)
-        return {
-            "query": spec,
-            "mode": mode,
-            "scope": "fleet",
-            "sessions": len(self.cluster),
-            "shards": self.cluster.shards,
-            "sure_nodes": len(sure),
-            "may_have_more": may_have_more,
-            "knowledge_size": self.cluster.size(),
-        }
+                info = self.cluster.ask_info(key, self._fetch_source(key), query)
+                document["answer_nodes"] = len(info["answer"])
+            else:
+                info = self.cluster.answer_info(key, query)
+                document["sure_nodes"] = len(info["sure"])
+                document["may_have_more"] = info["may_have_more"]
+            document.update(
+                session=key,
+                shard=shard,
+                knowledge_size=info["knowledge_size"],
+                queries_recorded=info["queries_recorded"],
+            )
+        elif mode == "fetch":
+            raise OpsError(400, "mode=fetch needs a session=KEY")
+        else:
+            info = self.cluster.ask_all_info(query)
+            document.update(
+                scope="fleet",
+                sessions=info["sessions_answered"],
+                shards=self.cluster.shards,
+                sure_nodes=len(info["sure"]),
+                may_have_more=info["may_have_more"],
+                knowledge_size=info["knowledge_size"],
+            )
+        extras["knowledge_size"] = document["knowledge_size"]
+        extras["query"] = spec
+        return 200, json.dumps(document, sort_keys=True) + "\n", _JSON
+
+    def _fetch_source(self, key: str) -> InMemorySource:
+        """The document a keyed fetch for ``key`` asks.
+
+        A durable session remembers the catalog it was created over
+        (:meth:`Webhouse.source_hint`), and its history must stay over
+        that one document, so it is fetched from the catalog its hint
+        names.  A session without a hint (in memory, or not created
+        yet) observes the served source.
+        """
+        if self.source is None:
+            raise OpsError(409, "no source attached; mode=fetch unavailable")
+        if self.cluster.store is not None:
+            engine = self.cluster.engine(key)
+            hint = {} if engine is None else engine.source_hint()
+            if hint:
+                return hinted_source(hint)
+        return self.source
 
     def _handle_slo(self, params, extras) -> Tuple[int, str, str]:
         """Burn-rate state, sampler books, and latency quantiles, JSON.
@@ -775,9 +656,8 @@ class OpsServer:
             "degrade_on_burn": self.degrade_on_burn,
             "remedies_applied": list(self.remedies_applied),
             "latency": latency,
+            "cluster_latency": cluster_latency(),
         }
-        if self.cluster is not None:
-            document["cluster_latency"] = cluster_latency()
         return 200, json.dumps(document, sort_keys=True, default=str) + "\n", _JSON
 
     def _handle_debug_error(self, params, extras) -> Tuple[int, str, str]:
@@ -858,7 +738,10 @@ def drive_request(server: OpsServer, path: str) -> Tuple[int, str]:
 
 # -- self-check ------------------------------------------------------------------
 
-#: Endpoints ``self_check`` probes, with their validator kind.
+#: Endpoints ``self_check`` probes, with their validator kind.  Every
+#: probe reads, so a self-check never writes into a durable root: the
+#: routed ask names the ``demo`` session :func:`demo_cluster` records,
+#: and a pool without it answers from zero knowledge.
 _PROBES = (
     ("/healthz", "text"),
     ("/statusz", "json"),
@@ -866,31 +749,23 @@ _PROBES = (
     ("/profile", "json"),
     ("/sessions", "json"),
     ("/ask?q=q1", "json"),
+    ("/ask?q=q1&session=demo", "json"),
+    ("/ask?q=q2", "json"),
     ("/slo", "json"),
     ("/debug/flightrecorder", "chrome"),
     ("/debug/requests", "json"),
     ("/debug/faults", "json"),
 )
 
-#: Extra probes for a cluster server: a routed ask (the ``demo``
-#: session :func:`demo_cluster` pre-ingests) and an explicit fleet ask.
-_CLUSTER_PROBES = _PROBES + (
-    ("/ask?q=q1&session=demo", "json"),
-    ("/ask?q=q1&session=demo&mode=fetch", "json"),
-    ("/ask?q=q2", "json"),
-)
 
-
-def self_check(base_url: str, timeout: float = 5.0, probes=None):
+def self_check(base_url: str, timeout: float = 5.0):
     """Probe every endpoint of a live server and validate the payloads.
 
     Returns ``(ok, report)`` where ``report`` is one row per probe:
     ``{"endpoint", "status", "ok", "trace_id", "detail"}``.  Used by
     ``python -m repro serve --once`` so CI smoke tests need no
     sleep/poll loop — the server process checks itself and exits
-    nonzero on any failure.  ``probes`` defaults to the single-engine
-    probe set; cluster servers pass :data:`_CLUSTER_PROBES` (which adds
-    routed and fleet-wide asks).
+    nonzero on any failure.
     """
     import urllib.request
 
@@ -898,7 +773,7 @@ def self_check(base_url: str, timeout: float = 5.0, probes=None):
 
     report = []
     all_ok = True
-    for endpoint, kind in (_PROBES if probes is None else probes):
+    for endpoint, kind in _PROBES:
         row = {"endpoint": endpoint, "status": 0, "ok": False, "trace_id": None, "detail": ""}
         try:
             with urllib.request.urlopen(base_url + endpoint, timeout=timeout) as resp:
@@ -932,8 +807,6 @@ __all__ = [
     "OpsServer",
     "UNMATCHED",
     "demo_cluster",
-    "demo_webhouse",
     "drive_request",
-    "hosted_webhouse",
     "self_check",
 ]

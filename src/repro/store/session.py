@@ -296,9 +296,10 @@ class SessionStore:
     """Many named sessions under one root directory."""
 
     def __init__(self, root: str, snapshot_every: int = 32):
+        # nothing is made on disk until a session is: create and fork
+        # make the directories they write into
         self._root = os.fspath(root)
         self._snapshot_every = max(1, int(snapshot_every))
-        os.makedirs(self._root, exist_ok=True)
 
     @property
     def root(self) -> str:

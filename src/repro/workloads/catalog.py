@@ -14,12 +14,16 @@ cameras" of Example 3.4), and a non-electronics product.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Mapping, Optional
 
 from ..core.conditions import Cond
 from ..core.query import PSQuery, pattern, subtree
 from ..core.tree import DataTree, NodeSpec, node
 from ..core.treetype import TreeType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..mediator.source import InMemorySource
 
 #: Element names of the catalog schema.
 CATALOG_ALPHABET = (
@@ -237,3 +241,25 @@ def generate_catalog(
             _product(pid, f"Item{i}", price, cat, sub, pictures)
         )
     return DataTree.build(node("cat0", "catalog", 0, products))
+
+
+@lru_cache(maxsize=None)
+def _catalog_source(products: int, seed: int) -> "InMemorySource":
+    from ..mediator.source import InMemorySource
+
+    return InMemorySource(generate_catalog(products, seed=seed), catalog_type())
+
+
+def hinted_source(
+    hint: Mapping[str, object], products: int = 10, seed: int = 0
+) -> "InMemorySource":
+    """The source over the catalog a session's workload hint names.
+
+    A durable session remembers the synthetic catalog it was created
+    over (:meth:`Webhouse.source_hint`), so every later process fetches
+    from the same document; ``products`` and ``seed`` fill in what the
+    hint lacks.  One source per document per process.
+    """
+    return _catalog_source(
+        int(hint.get("products", products)), int(hint.get("seed", seed))
+    )

@@ -38,7 +38,7 @@ from repro.mediator.webhouse import Webhouse
 from repro.obs.sinks import NullSink
 from repro.obs.spans import current_trace_id, reset_trace_id, set_trace_id
 from repro.ops import OpsServer, demo_cluster, drive_request
-from repro.ops.server import _CLUSTER_PROBES, self_check
+from repro.ops.server import self_check
 from repro.store import SessionStore
 from repro.workloads.catalog import (
     CATALOG_ALPHABET,
@@ -735,6 +735,10 @@ class TestClusterHTTP:
         fleet = json.loads(body)
         assert fleet["scope"] == "fleet"
         assert fleet["sure_nodes"] == routed["sure_nodes"]
+        # the fan-out's one pass books the fleet inventory too
+        pool = cluster_server.cluster
+        assert fleet["sessions"] == len(pool)
+        assert fleet["knowledge_size"] == pool.size()
 
     def test_fetch_needs_session(self, cluster_server):
         status, _, body = _get(f"{cluster_server.url}/ask?q=q1&mode=fetch")
@@ -769,6 +773,8 @@ class TestClusterHTTP:
         assert "repro_cluster_shards" in samples
 
     def test_overloaded_shard_returns_503(self, cluster_server):
+        from repro.obs.export import validate_prometheus_text
+
         cluster = cluster_server.cluster
         shard = cluster.shard_of("demo")
         limit = cluster.admission.max_in_flight
@@ -779,6 +785,11 @@ class TestClusterHTTP:
         assert status == 503
         assert headers.get("Retry-After") == "1"
         assert "in-flight limit" in json.loads(body)["error"]
+        # the shed is exported once: the scrape's per-shard gauge
+        _, _, body = _get(f"{cluster_server.url}/metrics")
+        samples = validate_prometheus_text(body.decode())
+        sheds = {n: v for n, v in samples.items() if "shed" in n and v}
+        assert sheds == {f"repro_shard_{shard}_shed": 1.0}
 
     def test_hammer_unique_traces_and_isolation(self, cluster_server):
         """8 concurrent clients, distinct sessions, fetch+local mix:
@@ -812,7 +823,7 @@ class TestClusterHTTP:
         assert len(set(trace_ids)) == len(trace_ids) == 16
 
     def test_self_check_cluster_probes(self, cluster_server):
-        ok, report = self_check(cluster_server.url, probes=_CLUSTER_PROBES)
+        ok, report = self_check(cluster_server.url)
         assert ok, [row for row in report if not row["ok"]]
         assert any("session=demo" in row["endpoint"] for row in report)
 

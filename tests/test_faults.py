@@ -29,7 +29,7 @@ from repro.faults.plan import DEFAULT_STALL_MS, FaultError, FaultPlan, FaultRule
 from repro.incomplete.certainty import incomplete_equivalent
 from repro.mediator.webhouse import Webhouse
 from repro.obs.sinks import NullSink
-from repro.ops import OpsServer, demo_webhouse
+from repro.ops import OpsServer, demo_cluster
 from repro.ops.server import drive_request
 from repro.refine.refine import refine_sequence
 from repro.store import Journal, SessionStore, StoreError, latest_snapshot, write_snapshot
@@ -333,8 +333,8 @@ class TestSessionRecovery:
 
 class TestOpsFaults:
     def _server(self, **kwargs) -> OpsServer:
-        webhouse, source = demo_webhouse(products=3)
-        return OpsServer(webhouse, source=source, **kwargs)
+        cluster, source = demo_cluster(shards=1, products=3)
+        return OpsServer(cluster, source=source, **kwargs)
 
     def test_debug_faults_reports_disarmed(self):
         srv = self._server()

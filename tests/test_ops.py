@@ -14,6 +14,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import quote
 
 import pytest
 
@@ -29,14 +30,24 @@ from repro.ops import (
     FlightRecorder,
     OpsServer,
     RequestLog,
-    demo_webhouse,
-    hosted_webhouse,
+    demo_cluster,
+    drive_request,
     new_trace_id,
     request_trace,
 )
 from repro.ops.server import UNMATCHED
 from repro.store import SessionStore
-from repro.workloads.catalog import CATALOG_ALPHABET, catalog_type, query1
+from repro.workloads.catalog import (
+    CATALOG_ALPHABET,
+    catalog_type,
+    generate_catalog,
+    query1,
+    query2,
+    query3,
+    query4,
+)
+
+_NAMED = {"q1": query1, "q2": query2, "q3": query3, "q4": query4}
 
 
 @pytest.fixture(autouse=True)
@@ -72,15 +83,22 @@ def _get(url: str, timeout: float = 10.0):
         return exc.code, exc.headers, exc.read()
 
 
+def _demo_server(**kwargs) -> OpsServer:
+    """An unstarted server over a one-shard, three-product demo pool."""
+    cluster, source = demo_cluster(shards=1, products=3)
+    return OpsServer(cluster, source=source, **kwargs)
+
+
 @pytest.fixture()
 def server():
-    """A live ops server over the demo catalog webhouse, obs enabled."""
+    """A live ops server over a one-shard demo pool, obs enabled."""
     obs.enable(obs.RingBufferSink())
     perf.enable_caches()
-    webhouse, source = demo_webhouse(products=4)
-    srv = OpsServer(webhouse, source=source).start()
+    cluster, source = demo_cluster(shards=1, products=4)
+    srv = OpsServer(cluster, source=source).start()
     yield srv
     srv.stop()
+    cluster.close()
 
 
 # -- trace context ---------------------------------------------------------------
@@ -267,13 +285,15 @@ class TestOpsServer:
         assert body == b"ok\n"
         assert headers["X-Repro-Trace-Id"]
 
-    def test_statusz_reports_engine_and_growth(self, server):
+    def test_statusz_reports_the_pool_rollup(self, server):
         status, _, body = _get(server.url + "/statusz")
         assert status == 200
         document = json.loads(body)
-        assert document["engine"] == "plain"
-        assert isinstance(document["growth_regime"], str) and document["growth_regime"]
-        assert document["webhouse"]["queries_recorded"] >= 1
+        assert document["shards"] == 1
+        assert document["cluster"]["sessions"] == 1
+        assert document["cluster"]["queries_recorded"] >= 1
+        (shard,) = document["cluster"]["per_shard"]
+        assert shard["session_keys"] == ["demo"]
         assert document["observability_enabled"] is True
         assert document["caches"]["enabled"] is True
 
@@ -292,17 +312,43 @@ class TestOpsServer:
         assert "repro_ops_uptime_seconds" in samples
 
     def test_ask_local_and_fetch(self, server):
-        status, headers, body = _get(server.url + "/ask?q=q1")
+        status, headers, body = _get(server.url + "/ask?q=q1&session=demo")
         assert status == 200
         document = json.loads(body)
         assert document["mode"] == "local"
         assert document["sure_nodes"] >= 1
         assert isinstance(document["may_have_more"], bool)
         recorded = document["queries_recorded"]
-        status, _, body = _get(server.url + "/ask?q=q2&mode=fetch")
+        status, _, body = _get(server.url + "/ask?q=q2&session=demo&mode=fetch")
         assert status == 200
         fetched = json.loads(body)
         assert fetched["queries_recorded"] == recorded + 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["q1", "q2", "q3", "q4", "catalog/product/price[<300]", "catalog/product/name"],
+    )
+    def test_sessionless_ask_is_the_demo_session_answer(self, spec):
+        """On a one-shard server the fleet union of the one session is
+        that session's own caveated answer, key for key."""
+        cluster, source = demo_cluster(shards=1)
+        srv = OpsServer(cluster, source=source)
+        engine = cluster.engine("demo")
+        sure, may_have_more = engine.answer_with_caveats(
+            parse_query_spec(spec, named=_NAMED)
+        )
+        status, body = drive_request(srv, "/ask?q=" + quote(spec, safe=""))
+        assert status == 200
+        assert json.loads(body) == {
+            "query": spec,
+            "mode": "local",
+            "scope": "fleet",
+            "sessions": 1,
+            "shards": 1,
+            "sure_nodes": len(sure),
+            "may_have_more": may_have_more,
+            "knowledge_size": engine.size(),
+        }
 
     def test_ask_path_query(self, server):
         status, _, body = _get(
@@ -358,9 +404,8 @@ class TestOpsServer:
 
     def test_every_errored_trace_is_retained(self):
         obs.enable(obs.RingBufferSink())
-        webhouse, source = demo_webhouse(products=3)
         recorder = FlightRecorder(capacity=2, errored_capacity=256)
-        srv = OpsServer(webhouse, source=source, recorder=recorder).start()
+        srv = _demo_server(recorder=recorder).start()
         try:
             for _ in range(12):
                 status, _, _ = _get(srv.url + "/ask?q=%5Bbad")
@@ -410,8 +455,7 @@ class TestOpsServer:
                 stack.extend(node.children)
 
     def test_server_requires_start_before_address(self):
-        webhouse, source = demo_webhouse(products=3)
-        srv = OpsServer(webhouse, source=source)
+        srv = _demo_server()
         with pytest.raises(RuntimeError):
             srv.url
 
@@ -438,36 +482,85 @@ class TestHostedSessions:
         webhouse.detach()
         assert webhouse.source_hint() == {}
 
-    def test_hosted_webhouse_serves_a_named_session(self, tmp_path):
-        store = SessionStore(str(tmp_path))
-        store.create(
-            "svc",
-            CATALOG_ALPHABET,
-            tree_type=catalog_type(),
-            extra={"workload": {"name": "catalog", "products": 4, "seed": 4}},
-        ).close()
-        webhouse, source = hosted_webhouse(store, "svc")
-        try:
-            webhouse.ask(source, query1())
-            srv = OpsServer(
-                webhouse, source=source, store=store, session_name="svc"
-            ).start()
+    def test_serve_session_opens_a_durable_pool(self, tmp_path, monkeypatch, capsys):
+        """``serve --session`` fronts the durable pool under ``--root``
+        at any shard count: a keyed HTTP fetch journals, and the session
+        CLI reads it back after the server closed the pool."""
+        root = str(tmp_path)
+        assert cli_main(
+            ["repro", "session", "create", "svc", "--products", "4", "--seed", "4",
+             "--root", root]
+        ) == 0
+        replies = []
+
+        def serve_two_requests(server):  # in place of the blocking loop
+            server.start()
             try:
-                status, _, body = _get(srv.url + "/ask?q=q1")
-                assert status == 200
-                assert json.loads(body)["knowledge_size"] >= 1
-                status, _, body = _get(srv.url + "/sessions")
-                document = json.loads(body)
-                assert document["hosted"] == "svc"
-                names = [row["name"] for row in document["sessions"]]
-                assert "svc" in names
-                row = document["sessions"][names.index("svc")]
-                assert row["locked"] is True  # we hold the writer lock
-                assert row["workload"]["products"] == 4
+                replies.append(_get(server.url + "/ask?q=q1&session=svc&mode=fetch"))
+                replies.append(_get(server.url + "/sessions"))
             finally:
-                srv.stop()
-        finally:
-            webhouse.detach()
+                server.stop()
+
+        monkeypatch.setattr(OpsServer, "serve_forever", serve_two_requests)
+        assert cli_main(
+            ["repro", "serve", "--session", "svc", "--shards", "2", "--root", root]
+        ) == 0
+        (status, _, body), (_, _, listing) = replies
+        assert status == 200
+        fetched = json.loads(body)
+        assert fetched["queries_recorded"] == 1 and fetched["answer_nodes"] >= 1
+        document = json.loads(listing)
+        assert document["hosted"] == "svc"
+        assert document["cluster_sessions"] == ["svc"]
+        (row,) = document["sessions"]
+        assert row["locked"] is True  # the pool holds the writer lock
+        assert row["workload"]["products"] == 4
+        capsys.readouterr()
+        assert cli_main(["repro", "session", "info", "svc", "--root", root]) == 0
+        assert json.loads(capsys.readouterr().out)["queries_recorded"] == 1
+
+    def test_serve_session_fetches_each_session_from_its_own_catalog(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Sessions under one root may observe different catalogs: a
+        keyed fetch asks the document the session's own workload hint
+        names, and a session the pool creates is stamped with the
+        served hint, so the session CLI regenerates its document."""
+        root = str(tmp_path)
+        for name, products, seed in (("a", "4", "4"), ("b", "8", "3")):
+            assert cli_main(
+                ["repro", "session", "create", name, "--products", products,
+                 "--seed", seed, "--root", root]
+            ) == 0
+        statuses = []
+
+        def fetch_each(server):  # in place of the blocking loop
+            server.start()
+            try:
+                for key in ("a", "b", "c"):
+                    url = server.url + f"/ask?q=q2&session={key}&mode=fetch"
+                    statuses.append(_get(url)[0])
+            finally:
+                server.stop()
+
+        monkeypatch.setattr(OpsServer, "serve_forever", fetch_each)
+        assert cli_main(["repro", "serve", "--session", "a", "--root", root]) == 0
+        assert statuses == [200, 200, 200]
+        store = SessionStore(root)
+        assert store.peek("c")["workload"] == {"name": "catalog", "products": 4, "seed": 4}
+        for key, products, seed in (("a", 4, 4), ("b", 8, 3), ("c", 4, 4)):
+            webhouse = Webhouse.resume(store, key)
+            try:
+                ((query, answer),) = webhouse.history
+                assert answer == query2().evaluate(generate_catalog(products, seed=seed))
+            finally:
+                webhouse.detach()
+        # a later `session ask` fetches from the same document (the CLI
+        # default catalog, 10 products with seed 0, answers 12 nodes)
+        capsys.readouterr()
+        assert cli_main(["repro", "session", "ask", "c", "q2", "--root", root]) == 0
+        asked = json.loads(capsys.readouterr().out)
+        assert asked["answer_nodes"] == len(query2().evaluate(generate_catalog(4, seed=4)))
 
     def test_store_peek_needs_no_lock(self, tmp_path):
         store = SessionStore(str(tmp_path))
@@ -519,7 +612,9 @@ class TestPrometheusCacheSeries:
 
 
 class TestServeCli:
-    def test_serve_once_self_checks_every_endpoint(self, capsys):
+    def test_serve_once_self_checks_every_endpoint(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_SESSION_ROOT", raising=False)
         code = cli_main(["repro", "serve", "--once", "--products", "4"])
         captured = capsys.readouterr()
         document = json.loads(captured.out)
@@ -527,7 +622,11 @@ class TestServeCli:
         assert document["ok"] is True
         probed = {row["endpoint"] for row in document["probes"]}
         assert {"/healthz", "/statusz", "/metrics", "/ask?q=q1"} <= probed
+        assert "/ask?q=q1&session=demo" in probed
+        assert not any("mode=fetch" in endpoint for endpoint in probed)
         assert all(row["trace_id"] for row in document["probes"])
+        # an in-memory server leaves no session root behind
+        assert list(tmp_path.iterdir()) == []
 
     def test_serve_rejects_unknown_flags(self, capsys):
         assert cli_main(["repro", "serve", "--bogus"]) == 2
@@ -612,11 +711,8 @@ class TestAlwaysOnTelemetry:
     def test_telemetry_survives_obs_disabled(self):
         """Sampler and SLO books run even with span collection off.
         Latency books do not: the span is the only one."""
-        from repro.ops.server import drive_request
-
         assert not obs.STATE.enabled
-        webhouse, source = demo_webhouse(products=3)
-        srv = OpsServer(webhouse, source=source)
+        srv = _demo_server()
         for _ in range(3):
             status, _ = drive_request(srv, "/ask?q=q1")
             assert status == 200
@@ -657,11 +753,8 @@ class TestAlwaysOnTelemetry:
         assert not any("a_b" in n or "x}y" in n or "7Dy" in n for n in samples)
 
     def test_unmatched_paths_share_one_label_set(self):
-        from repro.ops.server import drive_request
-
         obs.enable()
-        webhouse, source = demo_webhouse(products=3)
-        srv = OpsServer(webhouse, source=source)
+        srv = _demo_server()
         assert drive_request(srv, "/ask?q=q1")[0] == 200
         for i in range(500):
             assert drive_request(srv, f"/missing-{i}")[0] == 404
@@ -682,7 +775,6 @@ class TestAlwaysOnTelemetry:
         """A route that raises is one 500 that the request log and the
         SLO engine each count once — over HTTP and through
         drive_request alike, because both run one request body."""
-        from repro.ops.server import drive_request
 
         def crash(_params, _extras):
             raise RuntimeError("route crashed")
@@ -694,9 +786,9 @@ class TestAlwaysOnTelemetry:
             ]
             return srv.request_log.logged, availability["lifetime"]["bad"]
 
-        webhouse, source = demo_webhouse(products=3)
-        live = OpsServer(webhouse, source=source).start()
-        inproc = OpsServer(webhouse, source=source)
+        cluster, source = demo_cluster(shards=1, products=3)
+        live = OpsServer(cluster, source=source).start()
+        inproc = OpsServer(cluster, source=source)
         try:
             for srv in (live, inproc):
                 srv._routes["/healthz"] = crash
@@ -723,8 +815,7 @@ class TestAlwaysOnTelemetry:
 
     def test_head_rate_zero_keeps_only_tail_matches(self):
         obs.enable(obs.RingBufferSink())
-        webhouse, source = demo_webhouse(products=3)
-        srv = OpsServer(webhouse, source=source, head_rate=0.0).start()
+        srv = _demo_server(head_rate=0.0).start()
         try:
             for _ in range(5):
                 _get(srv.url + "/healthz")
@@ -741,18 +832,14 @@ class TestAlwaysOnTelemetry:
     def test_degrade_on_burn_applies_remedy(self):
         """A burning latency SLO applies its paper remedy to the engine."""
         from repro.obs.slo import KIND_LATENCY, Objective, SloEngine
-        from repro.ops.server import drive_request
 
-        webhouse, source = demo_webhouse(products=3)
         engine = SloEngine(
             # every request is slower than a nanosecond: burns immediately
             objectives=[
                 Objective("lat", KIND_LATENCY, 0.99, threshold_s=1e-9)
             ],
         )
-        srv = OpsServer(
-            webhouse, source=source, slo=engine, degrade_on_burn=True
-        )
+        srv = _demo_server(slo=engine, degrade_on_burn=True)
         for _ in range(15):
             drive_request(srv, "/ask?q=q1")
         assert srv.remedies_applied == ["lossy"]
