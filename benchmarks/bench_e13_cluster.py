@@ -59,10 +59,8 @@ from repro.workloads.catalog import (  # noqa: E402
     CATALOG_ALPHABET,
     catalog_type,
     generate_catalog,
+    named_queries,
     query1,
-    query2,
-    query3,
-    query4,
 )
 
 #: Where the result document goes (repo root, committed).
@@ -89,12 +87,8 @@ SPECS = (
 )
 
 
-def _named():
-    return {"q1": query1, "q2": query2, "q3": query3, "q4": query4}
-
-
 def _queries():
-    return [parse_query_spec(spec, named=_named()) for spec in SPECS]
+    return [parse_query_spec(spec, named=named_queries()) for spec in SPECS]
 
 
 def _tenant_specs(tenant: int):
@@ -178,7 +172,7 @@ def build_cluster(shards: int) -> ShardedWebhouse:
     cluster = ShardedWebhouse(
         CATALOG_ALPHABET, tree_type=catalog_type(), shards=shards
     )
-    named = _named()
+    named = named_queries()
     for tenant in range(SESSIONS):
         for spec in _tenant_specs(tenant):
             cluster.ask(

@@ -3,22 +3,23 @@
 
 ``serve`` runs with span collection on: every request's spans feed the
 ``latency.seconds`` family (the only latency book), and the SLO
-burn-rate engine and head/tail trace sampler run on every request.
+burn-rate engine and the flight recorder's keep decision run on every
+request.
 That posture is only tenable if the pipeline is cheap and the quantiles
 it reports are right.  Two measurements, two acceptance criteria:
 
 * **overhead** — the same ``/ask`` workload driven through the full
   in-process request pipeline (:func:`repro.ops.server.drive_request`:
-  trace, dispatch, sampler/SLO bookkeeping) twice: once with span
+  trace, dispatch, recorder/SLO bookkeeping) twice: once with span
   collection on (the ``serve`` default) and once with
-  ``STATE.enabled = False``, where the SLO and sampler books still run
+  ``STATE.enabled = False``, where the SLO and keep books still run
   but no latency book does.  Batches alternate between the two servers
   so drift hits both sides equally.  Criterion: always-on ``/ask`` p50
   within **10%** of the baseline;
 * **fleet accuracy** — a 4-shard pool serves keyed answers with span
   collection on; the fleet p50/p90/p99 read off the
   ``latency.seconds{layer="cluster.answer"}`` histogram (the
-  ``stats_all`` / ``/slo`` path) must agree with exact percentiles over
+  :func:`cluster_latency` / ``/slo`` path) must agree with exact percentiles over
   the raw durations the same histogram kept in its ``recent`` window
   (400 ops fit its 1,024-sample window) within the sketch's
   **relative-error bound** (1%).
@@ -45,6 +46,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro.obs as obs  # noqa: E402
 from repro.cluster import ShardedWebhouse  # noqa: E402
+from repro.cluster.sharded import cluster_latency  # noqa: E402
 from repro.mediator.source import InMemorySource  # noqa: E402
 from repro.ops import OpsServer, demo_cluster  # noqa: E402
 from repro.ops.server import drive_request  # noqa: E402
@@ -134,7 +136,7 @@ def run_overhead():
     return {
         "baseline_s": off_durations,
         "always_on_s": on_durations,
-        "sampler": always_on.sampler.stats(),
+        "sampler": always_on.recorder.stats(),
         "slo_lifetime": slo_lifetime,
     }
 
@@ -168,14 +170,14 @@ def run_fleet_accuracy():
                 "exact_ms": round(pooled[rank] * 1000, 4),
                 "sketch_ms": round(histogram.quantile(q) * 1000, 4),
             }
-        rollup = cluster.stats_all()["latency"]["answer"]
+        rollup = cluster_latency()["answer"]
         return {
             "ops": FLEET_OPS,
             "sketch_count": histogram.sketch.count,
             "pooled_count": len(pooled),
             "relative_accuracy": histogram.sketch.relative_accuracy,
             "quantiles": quantiles,
-            "stats_all_p99_ms": round(rollup["p99"] * 1000, 4),
+            "cluster_latency_p99_ms": round(rollup["p99"] * 1000, 4),
         }
     finally:
         cluster.close()
@@ -194,7 +196,7 @@ def evaluate(overhead, fleet) -> dict:
             f"{MAX_OVERHEAD_PCT:.0f}% budget"
         )
     if overhead["sampler"]["kept"] == 0:
-        failures.append("sampler recorded nothing under always-on load")
+        failures.append("flight recorder kept nothing under always-on load")
 
     if not fleet["sketch_count"] == fleet["pooled_count"] == fleet["ops"]:
         failures.append(

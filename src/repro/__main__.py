@@ -36,7 +36,7 @@
                                               # drive the in-process ops
                                               # pipeline (asks + injected 5xx)
                                               # and print the SLO burn-rate
-                                              # state, sampler books and
+                                              # state, trace keep books and
                                               # latency quantiles (/slo JSON);
                                               # --objective overrides the
                                               # defaults, e.g. availability:99
@@ -81,7 +81,8 @@
                                               # ring, --slow-ms the slow-trace
                                               # / latency-SLO threshold,
                                               # --head-rate the healthy-trace
-                                              # sampling rate, and
+                                              # keep rate (all three set the
+                                              # flight recorder), and
                                               # --degrade-on-burn lets a
                                               # burning latency SLO apply its
                                               # paper remedy to every session;
@@ -416,25 +417,6 @@ def _export_cmd(args: list[str]) -> int:
     return 0
 
 
-def _parse_query_spec(spec: str):
-    """``q1``..``q4`` or a slash path like ``catalog/product/price[<300]``.
-
-    Thin wrapper over :func:`repro.core.parsing.parse_query_spec` with
-    the catalog workload's named queries bound (the ops server binds
-    the same map for its ``/ask`` endpoint).
-    """
-    from .core.parsing import parse_query_spec
-    from .workloads import catalog
-
-    named = {
-        "q1": catalog.query1,
-        "q2": catalog.query2,
-        "q3": catalog.query3,
-        "q4": catalog.query4,
-    }
-    return parse_query_spec(spec, named=named)
-
-
 def _slo_cmd(args: list[str]) -> int:
     """Drive the in-process ops pipeline; print the ``/slo`` document.
 
@@ -448,8 +430,8 @@ def _slo_cmd(args: list[str]) -> int:
     parsed specs.
     """
     from . import obs
-    from .obs.slo import Objective, SloEngine
-    from .ops import OpsServer, demo_cluster, drive_request
+    from .obs.slo import DEFAULT_SLOW_S, Objective, SloEngine
+    from .ops import FlightRecorder, OpsServer, demo_cluster, drive_request
 
     usage = (
         "usage: python -m repro slo [--objective SPEC]... [--requests N] "
@@ -466,7 +448,7 @@ def _slo_cmd(args: list[str]) -> int:
             specs.append(spec)
         requests = int(_take_value(args, "--requests") or "40")
         errors = int(_take_value(args, "--errors") or "0")
-        slow_ms = float(_take_value(args, "--slow-ms") or "250")
+        slow_ms = float(_take_value(args, "--slow-ms") or DEFAULT_SLOW_S * 1000)
         if requests < 0 or errors < 0 or slow_ms <= 0:
             raise ValueError(usage)
         products = _positional_products(args, usage)
@@ -476,12 +458,12 @@ def _slo_cmd(args: list[str]) -> int:
         print(usage, file=sys.stderr)
         return 2
 
-    obs.enable(obs.RingBufferSink())
+    obs.enable(obs.NullSink())
     cluster, source = demo_cluster(1, products)
     server = OpsServer(
         cluster,
         source=source,
-        slow_s=slow_ms / 1000.0,
+        recorder=FlightRecorder(slow_s=slow_ms / 1000.0),
         degrade_on_burn=degrade,
         slo=SloEngine(objectives) if objectives else None,
     )
@@ -504,9 +486,15 @@ def _session_cmd(args: list[str]) -> int:
     """
     import json
 
+    from .core.parsing import parse_query_spec
     from .mediator.webhouse import Webhouse
     from .store import SessionStore, StoreError
-    from .workloads.catalog import CATALOG_ALPHABET, catalog_type, hinted_source
+    from .workloads.catalog import (
+        CATALOG_ALPHABET,
+        catalog_type,
+        hinted_source,
+        named_queries,
+    )
 
     usage = (
         "usage: python -m repro session "
@@ -514,23 +502,12 @@ def _session_cmd(args: list[str]) -> int:
         "[--root DIR] [--products N] [--seed N]"
     )
     args = list(args)
-
-    def take_option(flag: str, default: str | None) -> str | None:
-        if flag not in args:
-            return default
-        position = args.index(flag)
-        if position + 1 >= len(args):
-            raise ValueError(f"{flag} needs a value")
-        value = args[position + 1]
-        del args[position : position + 2]
-        return value
-
     try:
-        root = take_option("--root", None) or os.environ.get(
+        root = _take_value(args, "--root") or os.environ.get(
             "REPRO_SESSION_ROOT", ".repro-sessions"
         )
-        products = int(take_option("--products", "10") or "10")
-        seed = int(take_option("--seed", "0") or "0")
+        products = int(_take_value(args, "--products") or "10")
+        seed = int(_take_value(args, "--seed") or "0")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(usage, file=sys.stderr)
@@ -578,7 +555,7 @@ def _session_cmd(args: list[str]) -> int:
                 if subcommand == "ask":
                     if len(positional) != 2:
                         raise ValueError("ask needs NAME and QUERY")
-                    query = _parse_query_spec(positional[1])
+                    query = parse_query_spec(positional[1], named=named_queries())
                     answer = webhouse.ask(
                         hinted_source(webhouse.source_hint(), products, seed), query
                     )
@@ -595,7 +572,7 @@ def _session_cmd(args: list[str]) -> int:
                 elif subcommand == "answer":
                     if len(positional) != 2:
                         raise ValueError("answer needs NAME and QUERY")
-                    query = _parse_query_spec(positional[1])
+                    query = parse_query_spec(positional[1], named=named_queries())
                     sure, may_have_more = webhouse.answer_with_caveats(query)
                     print(
                         json.dumps(
@@ -654,6 +631,7 @@ def _serve_cmd(args: list[str]) -> int:
     from . import obs
     from . import perf
     from .cluster import ShardedWebhouse
+    from .obs.slo import DEFAULT_SLOW_S
     from .ops import FlightRecorder, OpsServer, RequestLog, demo_cluster, self_check
     from .store import SessionStore, StoreError
     from .workloads.catalog import CATALOG_ALPHABET, catalog_type, hinted_source
@@ -680,9 +658,12 @@ def _serve_cmd(args: list[str]) -> int:
         shards = int(_take_value(args, "--shards") or "1")
         backend = _take_value(args, "--backend") or "thread"
         log_path = _take_value(args, "--request-log")
-        flight_ring = int(_take_value(args, "--flight-ring") or "64")
-        slow_ms = float(_take_value(args, "--slow-ms") or "250")
-        head_rate = float(_take_value(args, "--head-rate") or "1.0")
+        slow_ms = float(_take_value(args, "--slow-ms") or DEFAULT_SLOW_S * 1000)
+        recorder = FlightRecorder(
+            capacity=int(_take_value(args, "--flight-ring") or "64"),
+            head_rate=float(_take_value(args, "--head-rate") or "1.0"),
+            slow_s=slow_ms / 1000.0,
+        )
         fault_spec = _take_value(args, "--fault-plan")
         if args:
             raise ValueError(usage)
@@ -693,12 +674,6 @@ def _serve_cmd(args: list[str]) -> int:
                 f"--backend {backend!r} is not available: only 'thread' "
                 "remains (see docs/PERFORMANCE.md)"
             )
-        if flight_ring < 1:
-            raise ValueError("--flight-ring needs a positive capacity")
-        if slow_ms <= 0:
-            raise ValueError("--slow-ms needs a positive threshold")
-        if not 0.0 <= head_rate <= 1.0:
-            raise ValueError("--head-rate must be within [0, 1]")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(usage, file=sys.stderr)
@@ -714,7 +689,7 @@ def _serve_cmd(args: list[str]) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    obs.enable(obs.RingBufferSink())
+    obs.enable(obs.NullSink())
     perf.enable_caches()
     store = SessionStore(root)
     if session_name is None:
@@ -747,10 +722,8 @@ def _serve_cmd(args: list[str]) -> int:
         session_name=session_name,
         host=host,
         port=port,
-        recorder=FlightRecorder(capacity=flight_ring),
+        recorder=recorder,
         request_log=RequestLog(path=log_path),
-        slow_s=slow_ms / 1000.0,
-        head_rate=head_rate,
         degrade_on_burn=degrade_on_burn,
         fault_plan=fault_plan,
     )

@@ -11,18 +11,24 @@ scattered task closes carries a ``shard`` attribute and profiles /
 flight-recorder traces attribute work to shards even when the pool
 thread is reused across shards.
 
-Fault plans and trace ids are context-scoped and thread pools do not
-inherit context, so :meth:`Executor.submit` captures the caller's
-active plan (:func:`repro.faults.inject.active_plan`) *and* request
-trace id (:func:`repro.obs.spans.current_trace_id`) and re-binds both
-inside the task — a chaos scope around ``ask_all`` reaches every
-per-shard task, and spans closed in pool threads carry the caller's
-``X-Repro-Trace-Id`` instead of silently dropping trace parentage.
-Only those two values are carried over, deliberately not the whole
-context: spans opened in pool threads still stay parentless (the PR 6
-attribution contract).  Each task consults the injection site
+Fault plans, trace ids and span parentage are context-scoped and
+thread pools do not inherit context, so :meth:`Executor.submit`
+captures the caller's active plan, request trace id and innermost open
+span, and re-binds them inside the task: a chaos scope around
+``ask_all`` reaches every per-shard task, spans closed in pool threads
+carry the caller's ``X-Repro-Trace-Id``, and each task's
+``cluster.task`` span becomes a child of the submitting span, so one
+fleet request is one trace tree.  The submitting span is pushed onto
+the pool thread's *own* span stack and popped after the task; the
+caller's stack list never crosses threads (a copied context would
+share it), and a span opened in a plain thread still never adopts a
+foreign parent.  Each task consults the injection site
 ``cluster.task.<shard>`` before running, so schedules can stall,
 delay, or fail one specific shard.
+
+A one-item fan-out runs inline on the caller's thread with no pool hop
+and no ``cluster.task`` span of its own — the fleet op's span around
+it already times it — but with the same shard binding and fault site.
 
 :meth:`scatter` raises the first (item-order) error after all tasks
 finish; :meth:`scatter_outcomes` instead reports per-item
@@ -46,6 +52,7 @@ from ..faults.inject import (
 )
 from ..faults.policies import Deadline, DeadlineExceeded
 from ..obs.spans import (
+    current_span,
     current_trace_id,
     reset_shard,
     reset_trace_id,
@@ -53,6 +60,7 @@ from ..obs.spans import (
     set_trace_id,
     span as _span,
 )
+from ..obs.state import STATE as _OBS
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -95,13 +103,18 @@ class Executor:
     def submit(
         self, shard: int, fn: Callable[..., R], *args: object, **kwargs: object
     ) -> "Future[R]":
-        """Run ``fn`` on the pool with ``shard`` bound to the obs context."""
+        """Run ``fn`` on the pool with ``shard`` bound to the obs context
+        and its ``cluster.task`` span under the submitting span."""
         plan = active_plan()
         trace_id = current_trace_id()
+        parent = current_span()
 
         def bound() -> R:
             token = set_shard(shard)
             trace_token = set_trace_id(trace_id)
+            stack = None if parent is None else _OBS.stack
+            if stack is not None:
+                stack.append(parent)
             try:
                 with fault_scope(plan):
                     if _faults_armed():
@@ -109,6 +122,8 @@ class Executor:
                     with _span("cluster.task", shard=shard):
                         return fn(*args, **kwargs)
             finally:
+                if stack is not None:
+                    stack.pop()
                 reset_trace_id(trace_token)
                 reset_shard(token)
 
@@ -197,8 +212,7 @@ class Executor:
         try:
             if _faults_armed():
                 _check_site(f"cluster.task.{index}")
-            with _span("cluster.task", shard=index):
-                return fn(index, item)
+            return fn(index, item)
         finally:
             reset_shard(token)
 

@@ -405,8 +405,9 @@ class ShardedWebhouse:
 
     def stats_all(self) -> Dict[str, object]:
         """Fleet rollup: per-shard session books, admission and breaker
-        stats, and whole-stream latency per cluster op
-        (:func:`cluster_latency`).
+        stats.  Latency per cluster op is :func:`cluster_latency`'s to
+        read, so a caller that wants only the books does not pay for
+        the summaries.
 
         A shard that cannot answer degrades the rollup (zero books plus
         an ``error``), never fails it.
@@ -443,7 +444,6 @@ class ShardedWebhouse:
                 ),
                 "knowledge_size": sum(s["knowledge_size"] for s in per_shard_stats),
                 "per_shard": per_shard_stats,
-                "latency": cluster_latency(),
             }
 
     # -- inventory --------------------------------------------------------------

@@ -23,8 +23,12 @@ Typical usage::
     obs.traces()[-1].to_dict()             # the span tree of the ask
 
 Or explicitly: ``obs.enable(obs.JsonLinesSink("trace.jsonl"))`` ...
-``obs.disable()``.  See ``docs/OBSERVABILITY.md`` for the event schema
-and the span-name catalogue.
+``obs.disable()``.  ``python -m repro serve`` enables collection with a
+:class:`NullSink`: spans still build trees and feed the latency family,
+but no flat event is kept.  Which finished request traces are kept is
+decided, counted and held by :class:`repro.ops.flight.FlightRecorder`.
+See ``docs/OBSERVABILITY.md`` for the event schema and the span-name
+catalogue.
 
 On top of the raw collection sits the diagnostics layer: span-tree
 profiles (:mod:`~repro.obs.profile`), EXPLAIN for Refine and q(T)
@@ -58,7 +62,6 @@ from .monitor import (
 )
 from .profile import Profile, ProfileEntry, aggregate, profile_traces
 from .registry import Counter, Gauge, Histogram, Metrics
-from .sample import TraceSampler
 from .sinks import Event, JsonLinesSink, NullSink, RingBufferSink, Sink, TeeSink
 from .sketch import QuantileSketch
 from .slo import Objective, SloAlert, SloEngine, default_objectives
@@ -171,7 +174,6 @@ __all__ = [
     "Span",
     "TeeSink",
     "Timer",
-    "TraceSampler",
     "add_attrs",
     "aggregate",
     "capture",

@@ -34,6 +34,11 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .monitor import REMEDY_CONJUNCTIVE, REMEDY_LINEAR, REMEDY_LOSSY
 
+#: Default slow-request threshold, seconds: the latency objective's
+#: threshold and the flight recorder's slow-trace rule, and the
+#: ``--slow-ms`` default of ``serve`` and ``slo``.
+DEFAULT_SLOW_S = 0.25
+
 KIND_AVAILABILITY = "availability"
 KIND_LATENCY = "latency"
 
@@ -157,7 +162,7 @@ class Objective:
         return f"Objective({self.name!r}, target={self.target}{threshold})"
 
 
-def default_objectives(slow_s: float = 0.25) -> List[Objective]:
+def default_objectives(slow_s: float = DEFAULT_SLOW_S) -> List[Objective]:
     """The serve-mode defaults: 99.9% non-5xx, 99% under ``slow_s``."""
     return [
         Objective("availability-99.9", KIND_AVAILABILITY, 0.999),
@@ -436,6 +441,7 @@ class SloEngine:
 __all__ = [
     "DEFAULT_BURN_THRESHOLD",
     "DEFAULT_MIN_EVENTS",
+    "DEFAULT_SLOW_S",
     "DEFAULT_WINDOWS",
     "KIND_AVAILABILITY",
     "KIND_LATENCY",

@@ -10,13 +10,10 @@ Records go to a bounded in-memory ring (served at ``/debug/requests``)
 and, when a path is configured, to an append-only JSON-lines file.  The
 file handle is guarded by a lock: handler threads log concurrently.
 
-The slowest request per route plus the most recent 5xx are retained as
-trace-id **exemplars** — labelled series on ``/metrics`` that link the
-``latency.seconds`` family to a concrete flight-recorder trace.  They
-are keyed by the route label the server matched (every unmatched path
-shares one), so a client cannot grow them; ring and file records keep
-the raw path.  The log keeps no latency quantiles: the request's span
-is the only latency book (:mod:`repro.obs.spans`).
+The log is only a log: it keeps no latency quantiles (the request's
+span is the only latency book, :mod:`repro.obs.spans`) and no
+exemplars (the flight recorder names them from the traces it holds,
+:meth:`repro.ops.flight.FlightRecorder.exemplars`).
 """
 
 from __future__ import annotations
@@ -46,10 +43,6 @@ class RequestLog:
         if path is not None:
             self._stream = open(path, "a", encoding="utf-8")
         self.logged = 0
-        #: per-route slowest request seen, as an exemplar row
-        self._slowest: Dict[str, Dict[str, object]] = {}
-        #: the most recent 5xx, as an exemplar row
-        self._last_error: Optional[Dict[str, object]] = None
 
     def log(
         self,
@@ -58,15 +51,9 @@ class RequestLog:
         status: int,
         duration_s: float,
         trace_id: str,
-        *,
-        route: str,
         **extras: object,
     ) -> Dict[str, object]:
-        """Append one request record; returns the record.
-
-        ``route`` is the bounded label the exemplars are keyed by; the
-        record keeps the raw ``path``.
-        """
+        """Append one request record; returns the record."""
         record: Dict[str, object] = {
             "ts": time.time(),
             "method": method,
@@ -77,15 +64,9 @@ class RequestLog:
         }
         if extras:
             record.update(extras)
-        row = {"path": route, "trace_id": trace_id, "status": int(status), "value": duration_s}
         with self._lock:
             self._ring.append(record)
             self.logged += 1
-            slowest = self._slowest.get(route)
-            if slowest is None or duration_s > slowest["value"]:  # type: ignore[operator]
-                self._slowest[route] = dict(row, kind="slowest")
-            if status >= 500:
-                self._last_error = dict(row, kind="last_error")
             if self._stream is not None:
                 self._stream.write(json.dumps(record, sort_keys=True, default=str))
                 self._stream.write("\n")
@@ -97,18 +78,6 @@ class RequestLog:
         with self._lock:
             rows = list(self._ring)
         return rows[-max(0, limit):]
-
-    def exemplars(self) -> List[Dict[str, object]]:
-        """Trace-id exemplars: slowest request per route, last 5xx.
-
-        Each row carries ``value`` (seconds) plus label fields — the
-        shape :func:`repro.obs.export.labeled_gauge_lines` renders.
-        """
-        with self._lock:
-            rows = [dict(row) for _, row in sorted(self._slowest.items())]
-            if self._last_error is not None:
-                rows.append(dict(self._last_error))
-        return rows
 
     def close(self) -> None:
         with self._lock:

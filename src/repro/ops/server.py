@@ -10,8 +10,8 @@ exposing the observability stack while requests are in flight:
 ``/profile``                aggregated span profile, JSON
 ``/sessions``               durable-store listing (read-only peek, no locks)
 ``/ask?q=SPEC``             answer a path query, per session or fleet-wide
-``/slo``                    SLO burn-rate state + sampler books, JSON
-``/debug/flightrecorder``   retained traces as Chrome trace-event JSON
+``/slo``                    SLO burn-rate state + trace keep books, JSON
+``/debug/flightrecorder``   held traces as Chrome trace-event JSON
 ``/debug/requests``         recent structured request-log records, JSON
 ``/debug/error``            fault injection: fail with ``?status=`` (default 500)
 ``/debug/faults``           inspect or live-swap the installed fault plan
@@ -19,22 +19,23 @@ exposing the observability stack while requests are in flight:
 
 Every request runs under a :class:`~repro.ops.trace.request_trace`: a
 fresh ``trace_id`` is bound to the handler thread's context, stamped on
-every engine span the request triggers, returned in the
-``X-Repro-Trace-Id`` response header, written to the structured request
-log, and the finished trace root lands in the
-:class:`~repro.ops.flight.FlightRecorder` (errored traces retained
-longest).  ``contextvars`` isolation means concurrent requests can never
-adopt each other's spans.
+every engine span the request triggers (the shard tasks of a fleet-wide
+``/ask`` included), returned in the ``X-Repro-Trace-Id`` response
+header and written to the structured request log.  The finished request
+is offered to the :class:`~repro.ops.flight.FlightRecorder`, the one
+trace book: it decides whether to keep the trace (errored/shed/slow
+always, healthy ones at the head rate), counts that decision, holds the
+whole tree (errored traces longest), and names the trace-id exemplars
+``/metrics`` links to from the traces it holds.  ``contextvars``
+isolation means concurrent requests can never adopt each other's spans.
 
 Latency has one book: the ``ops.request`` root span observes the
 ``latency.seconds`` family with ``path=<matched route>`` (:data:`UNMATCHED`
 for any other path), read back by ``/metrics`` and ``/slo`` while span
 collection is on, as ``serve`` and ``slo`` keep it.  The SLO burn-rate
-windows, the :class:`~repro.obs.sample.TraceSampler` (errored/shed/slow
-traces always reach the flight recorder, healthy ones at the head rate)
-and the request log's trace-id exemplars run regardless of the obs
-flag.  With ``degrade_on_burn`` a burning latency SLO applies its paper
-remedy to every hosted session (:meth:`ShardedWebhouse.apply_remedy` —
+windows and the recorder's keep books run regardless of the obs flag.
+With ``degrade_on_burn`` a burning latency SLO applies its paper remedy
+to every hosted session (:meth:`ShardedWebhouse.apply_remedy` —
 conjunctive / linear / lossy).
 
 The server fronts one :class:`~repro.cluster.sharded.ShardedWebhouse`.
@@ -76,11 +77,10 @@ from ..mediator.source import InMemorySource
 from ..obs.export import labeled_gauge_lines, prometheus_text
 from ..obs.profile import profile_traces
 from ..obs.registry import merged_summary
-from ..obs.sample import DEFAULT_SLOW_S, TraceSampler
 from ..obs.slo import SloAlert, SloEngine, default_objectives
-from ..obs.spans import LATENCY
+from ..obs.spans import LATENCY, add_attrs
 from ..obs.state import STATE as _OBS
-from ..workloads.catalog import hinted_source
+from ..workloads.catalog import hinted_source, named_queries
 from .flight import FlightRecorder
 from .reqlog import RequestLog
 from .trace import request_trace
@@ -104,12 +104,6 @@ class OpsError(Exception):
         self.status = status
         #: Extra response headers (e.g. ``Retry-After`` on a 503).
         self.headers: Dict[str, str] = dict(headers or {})
-
-
-def _named_queries():
-    from ..workloads.catalog import query1, query2, query3, query4
-
-    return {"q1": query1, "q2": query2, "q3": query3, "q4": query4}
 
 
 def demo_cluster(
@@ -198,8 +192,8 @@ def _serve(
     Any exception out of dispatch becomes an error response (an
     :class:`OpsError` its own status and headers, anything else a 500).
     ``respond(status, body, content_type, headers, handle)`` writes the
-    response inside the trace; ``finish_request`` (sampler, flight
-    recorder, request log, SLO engine) runs after it.  Returns
+    response inside the trace; ``finish_request`` (flight recorder,
+    request log, SLO engine) runs after it.  Returns
     ``(status, body)``.
     """
     parsed = urlsplit(target)
@@ -250,9 +244,6 @@ class OpsServer:
         recorder: Optional[FlightRecorder] = None,
         request_log: Optional[RequestLog] = None,
         slo: Optional[SloEngine] = None,
-        sampler: Optional[TraceSampler] = None,
-        slow_s: float = DEFAULT_SLOW_S,
-        head_rate: float = 1.0,
         degrade_on_burn: bool = False,
         fault_plan: Optional[FaultPlan] = None,
     ):
@@ -264,13 +255,10 @@ class OpsServer:
         self.session_name = session_name
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self.request_log = request_log if request_log is not None else RequestLog()
-        self.sampler = (
-            sampler
-            if sampler is not None
-            else TraceSampler(head_rate=head_rate, slow_s=slow_s)
-        )
         self.slo = (
-            slo if slo is not None else SloEngine(default_objectives(slow_s))
+            slo
+            if slo is not None
+            else SloEngine(default_objectives(self.recorder.slow_s))
         )
         self.degrade_on_burn = bool(degrade_on_burn)
         #: the installed fault plan; armed per dispatched request (the
@@ -362,7 +350,8 @@ class OpsServer:
 
     def route(self, path: str) -> str:
         """The route ``path`` dispatches to, or :data:`UNMATCHED` — the
-        bounded ``path`` label of the request's latency and exemplars."""
+        bounded ``path`` label of the request's latency and exemplars
+        (the recorder reads it off the held root's labels)."""
         route = path.rstrip("/") or "/"
         return route if route in self._routes else UNMATCHED
 
@@ -411,24 +400,17 @@ class OpsServer:
         handle,
         extras: Dict[str, object],
     ) -> None:
-        """Post-response bookkeeping: sampler, flight recorder, request
-        log, SLO engine, request counters.
+        """Post-response bookkeeping: flight recorder, request log, SLO
+        engine, request counters.
 
-        The sampler decides whether the trace reaches the recorder
-        (errored/shed/slow always kept, healthy traffic subject to the
-        head rate); the request log's exemplars and the SLO burn windows
-        are fed unconditionally.  The request's latency is already
-        booked: its root span closed before this runs.
+        The recorder decides and books whether the trace is kept
+        (errored/shed/slow always, healthy traffic at the head rate) and
+        holds it; the request log and the SLO burn windows are fed
+        unconditionally.  The request's latency is already booked: its
+        root span closed before this runs.
         """
-        errored = status >= 400 or handle.errored
-        reason = self.sampler.decide(
-            handle.trace_id, status, duration_s, errored=handle.errored
-        )
-        if reason is not None:
-            self.recorder.record(handle.root, errored=errored, reason=reason)
-        self.request_log.log(
-            method, path, status, duration_s, handle.trace_id, route=self.route(path), **extras
-        )
+        self.recorder.offer(handle, status, duration_s)
+        self.request_log.log(method, path, status, duration_s, handle.trace_id, **extras)
         self.slo.record(status, duration_s)
         if _OBS.enabled:
             _OBS.metrics.inc("ops.http.requests")
@@ -464,9 +446,8 @@ class OpsServer:
             "caches": self._cache_summary(),
             "flight_recorder": self.recorder.stats(),
             "requests_logged": self.request_log.logged,
-            "sampler": self.sampler.stats(),
             "slo_burning": self.slo.burning(),
-            "cluster": self.cluster.stats_all(),
+            "cluster": dict(self.cluster.stats_all(), latency=cluster_latency()),
             "shards": self.cluster.shards,
         }
         return 200, json.dumps(document, sort_keys=True, default=str) + "\n", _JSON
@@ -510,25 +491,26 @@ class OpsServer:
     def _telemetry_lines(self) -> str:
         """The always-on telemetry series appended to ``/metrics``.
 
-        Trace-id exemplars (slowest request per route, last 5xx) and the
-        sampler and SLO books.  Latency quantiles are not here: they are
-        the registry's ``latency.seconds`` family.  Everything here
-        passes :func:`validate_prometheus_text`.
+        Trace-id exemplars (the slowest held trace per route, the newest
+        held 5xx) and the recorder's keep books, then the SLO books.
+        Latency quantiles are not here: they are the registry's
+        ``latency.seconds`` family.  Everything here passes
+        :func:`validate_prometheus_text`.
         """
         lines: list = []
-        exemplars = self.request_log.exemplars()
+        exemplars = self.recorder.exemplars()
         if exemplars:
             lines.extend(
                 labeled_gauge_lines(
                     "repro_http_exemplar_seconds",
-                    "trace-id exemplars: slowest request per route, last 5xx",
+                    "trace-id exemplars: slowest held trace per route, newest held 5xx",
                     exemplars,
                 )
             )
-        sampler = self.sampler.stats()
-        for suffix, value in (("kept", sampler["kept"]), ("dropped", sampler["dropped"])):
+        books = self.recorder.stats()
+        for suffix, value in (("kept", books["kept"]), ("dropped", books["dropped"])):
             name = f"repro_trace_sampler_{suffix}_total"
-            lines.append(f"# HELP {name} traces {suffix} by the sampler")
+            lines.append(f"# HELP {name} traces {suffix} by the flight recorder")
             lines.append(f"# TYPE {name} counter")
             lines.append(f"{name} {value}")
         lines.append("# HELP repro_slo_alerts_total SLO burn/resolve events fired")
@@ -580,7 +562,7 @@ class OpsServer:
         if mode not in ("local", "fetch"):
             raise OpsError(400, f"unknown mode {mode!r} (local|fetch)")
         try:
-            query = parse_query_spec(spec, named=_named_queries())
+            query = parse_query_spec(spec, named=named_queries())
         except ValueError as exc:
             raise OpsError(400, f"bad query {spec!r}: {exc}")
         document: Dict[str, object] = {"query": spec, "mode": mode}
@@ -615,7 +597,14 @@ class OpsServer:
                 sure_nodes=len(info["sure"]),
                 may_have_more=info["may_have_more"],
                 knowledge_size=info["knowledge_size"],
+                degraded=info["degraded"],
+                failed_shards=info["failed_shards"],
             )
+            if info["degraded"]:
+                # which shards, and why: on the trace root and in the log
+                degraded = {"degraded": True, "failed_shards": info["failed_shards"]}
+                add_attrs(**degraded)
+                extras.update(degraded)
         extras["knowledge_size"] = document["knowledge_size"]
         extras["query"] = spec
         return 200, json.dumps(document, sort_keys=True) + "\n", _JSON
@@ -639,7 +628,7 @@ class OpsServer:
         return self.source
 
     def _handle_slo(self, params, extras) -> Tuple[int, str, str]:
-        """Burn-rate state, sampler books, and latency quantiles, JSON.
+        """Burn-rate state, trace keep books, and latency quantiles, JSON.
 
         ``latency`` holds the ``ops.request`` layer per route plus
         ``all``, their merge; ``cluster_latency`` one entry per cluster
@@ -652,7 +641,7 @@ class OpsServer:
         latency["all"] = merged_summary(requests)
         document = {
             "slo": self.slo.snapshot(),
-            "sampler": self.sampler.stats(),
+            "sampler": self.recorder.stats(),
             "degrade_on_burn": self.degrade_on_burn,
             "remedies_applied": list(self.remedies_applied),
             "latency": latency,
@@ -709,9 +698,7 @@ class OpsServer:
         return 200, json.dumps(document, sort_keys=True, default=str) + "\n", _JSON
 
     def _handle_flightrecorder(self, params, extras) -> Tuple[int, str, str]:
-        document = self.recorder.chrome_trace(
-            extra={"sampler": self.sampler.stats()}
-        )
+        document = self.recorder.chrome_trace()
         return 200, json.dumps(document, sort_keys=True, default=str) + "\n", _JSON
 
     def _handle_requests(self, params, extras) -> Tuple[int, str, str]:

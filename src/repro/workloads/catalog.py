@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
 
 from ..core.conditions import Cond
 from ..core.query import PSQuery, pattern, subtree
@@ -169,6 +169,12 @@ def query5() -> PSQuery:
             ],
         )
     )
+
+
+def named_queries() -> Dict[str, Callable[[], PSQuery]]:
+    """Queries 1-4 by the names ``q1``..``q4`` that the CLI and ``/ask``
+    accept (the ``named`` map of :func:`repro.core.parsing.parse_query_spec`)."""
+    return {"q1": query1, "q2": query2, "q3": query3, "q4": query4}
 
 
 def _product(

@@ -31,7 +31,9 @@ from repro.cluster import (
     ShardOverloaded,
     stable_hash,
 )
+from repro.cluster.sharded import cluster_latency
 from repro.core.tree import DataTree
+from repro.faults.plan import FaultPlan
 from repro.mediator.local_query import overlay
 from repro.mediator.source import InMemorySource
 from repro.mediator.webhouse import Webhouse
@@ -277,6 +279,80 @@ class TestExecutor:
                     for sp in root.find("cluster.task")
                 )
             assert shards == [0, 1, 2]
+        finally:
+            ex.shutdown()
+
+    def test_pool_tasks_are_children_of_the_submitting_span(self):
+        """Each pool task's ``cluster.task`` span lands under the span
+        that submitted it, not as a root of its own."""
+        ex = Executor(max_workers=2)
+        try:
+            with obs.capture():
+                with obs.span("fanout") as parent:
+                    ex.scatter([None, None, None], lambda i, _: i)
+                roots = obs.traces()
+            assert [root.name for root in roots] == ["fanout"]
+            assert sorted(task.attrs["shard"] for task in parent.children) == [0, 1, 2]
+        finally:
+            ex.shutdown()
+
+    def test_concurrent_fanouts_keep_their_own_children(self):
+        """Pool threads serve many callers' tasks in turn; each task
+        lands under its own caller's span, none is lost or adopted by
+        another fan-out, and no parent is left on a pool thread's stack."""
+        import sys
+
+        ex = Executor(max_workers=4)
+        callers, rounds, width = 6, 15, 4
+        parents = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with obs.capture():
+
+                def caller(tag: int) -> None:
+                    for round_ in range(rounds):
+                        token = set_trace_id(f"caller-{tag}-{round_}")
+                        try:
+                            with obs.span("fanout") as parent:
+                                ex.scatter([None] * width, lambda i, _: i)
+                        finally:
+                            reset_trace_id(token)
+                        parents[(tag, round_)] = parent
+
+                threads = [
+                    threading.Thread(target=caller, args=(tag,)) for tag in range(callers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                # a parentless task sees only its own span on the stack
+                depths = ex.scatter([None] * width, lambda i, _: len(obs.STATE.stack))
+            assert depths == [1] * width
+            assert len(parents) == callers * rounds
+            for (tag, round_), parent in parents.items():
+                assert sorted(task.attrs["shard"] for task in parent.children) == list(
+                    range(width)
+                )
+                assert {task.attrs["trace_id"] for task in parent.children} == {
+                    f"caller-{tag}-{round_}"
+                }
+            assert {root.name for root in obs.traces()} == {"fanout", "cluster.task"}
+        finally:
+            sys.setswitchinterval(interval)
+            ex.shutdown()
+
+    def test_single_item_runs_inline_without_a_task_span(self):
+        """A one-item fan-out is timed by its caller's span: no pool hop,
+        no ``cluster.task`` span, the shard still bound."""
+        ex = Executor(max_workers=2)
+        try:
+            with obs.capture():
+                with obs.span("fanout") as parent:
+                    assert ex.scatter(["x"], lambda i, _: obs.current_shard()) == [0]
+            assert parent.children == []
         finally:
             ex.shutdown()
 
@@ -740,6 +816,55 @@ class TestClusterHTTP:
         assert fleet["sessions"] == len(pool)
         assert fleet["knowledge_size"] == pool.size()
 
+    def test_fleet_request_is_one_trace_tree(self):
+        """A sessionless ``/ask`` on four shards leaves one recorder
+        trace holding every shard's task, engine work included."""
+        obs.enable(NullSink())
+        cluster, source = demo_cluster(shards=4, products=4, tenants=8)
+        server = OpsServer(cluster, source=source)
+        try:
+            per_shard = cluster.stats_all()["per_shard"]
+            assert all(stats["sessions"] >= 1 for stats in per_shard)
+            obs.STATE.clear()
+            status, _ = drive_request(server, "/ask?q=q1")
+            assert status == 200
+            (root,) = server.recorder.roots()
+            trace_id = root.attrs["trace_id"]
+            tasks = root.find("cluster.task")
+            assert len(tasks) == 4
+            assert sorted(task.attrs["shard"] for task in tasks) == [0, 1, 2, 3]
+            assert all(task.attrs["trace_id"] == trace_id for task in tasks)
+            assert all(task.children for task in tasks)  # the engine work
+            assert not [r for r in obs.traces() if r.name == "cluster.task"]
+        finally:
+            cluster.close()
+
+    def test_degraded_fleet_ask_says_which_shard_and_why(self):
+        """A shard task failing under the fault plan degrades the fan-out:
+        200, ``degraded``, and the shard named in ``failed_shards`` — in
+        the response, on the trace root and in the request log."""
+        obs.enable(NullSink())
+        cluster, source = demo_cluster(shards=3, products=4, tenants=6)
+        server = OpsServer(
+            cluster, source=source, fault_plan=FaultPlan.parse("cluster.task.1:error")
+        )
+        try:
+            status, body = drive_request(server, "/ask?q=q1")
+            assert status == 200
+            document = json.loads(body)
+            assert document["degraded"] is True
+            assert document["may_have_more"] is True
+            assert list(document["failed_shards"]) == ["1"]
+            assert "FaultInjected" in document["failed_shards"]["1"]
+            (root,) = server.recorder.roots()
+            assert root.attrs["degraded"] is True
+            assert "FaultInjected" in root.attrs["failed_shards"][1]
+            (record,) = server.request_log.recent(1)
+            assert record["degraded"] is True
+            assert "FaultInjected" in record["failed_shards"][1]
+        finally:
+            cluster.close()
+
     def test_fetch_needs_session(self, cluster_server):
         status, _, body = _get(f"{cluster_server.url}/ask?q=q1&mode=fetch")
         assert status == 400
@@ -851,14 +976,17 @@ class TestFleetLatencySketches:
         finally:
             cluster.close()
 
-    def test_stats_all_carries_latency_rollup(self):
+    def test_cluster_latency_rollup(self):
+        """Latency per cluster op is read off the family by
+        :func:`cluster_latency`; ``stats_all`` carries only the books."""
         source = _catalog_source()
         cluster = _cluster(2)
         try:
             with obs.capture():
                 cluster.ask("alice", source, query1())
                 rollup = cluster.stats_all()
-            latency = rollup["latency"]
+                latency = cluster_latency()
+            assert "latency" not in rollup
             assert latency["ask"]["count"] == 1
             assert latency["ask"]["p99"] > 0.0
             assert {"count", "sum", "min", "max", "p50", "p90", "p99"} <= set(
@@ -868,12 +996,12 @@ class TestFleetLatencySketches:
         finally:
             cluster.close()
 
-    def test_stats_all_latency_empty_without_span_collection(self):
+    def test_cluster_latency_empty_without_span_collection(self):
         source = _catalog_source()
         cluster = _cluster(2)
         try:
             cluster.ask("alice", source, query1())
-            assert cluster.stats_all()["latency"] == {}
+            assert cluster_latency() == {}
         finally:
             cluster.close()
 

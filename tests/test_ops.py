@@ -26,10 +26,12 @@ from repro.mediator.webhouse import Webhouse
 from repro.obs.export import validate_chrome_trace, validate_prometheus_text
 from repro.obs.sinks import NullSink
 from repro.obs.spans import Span
+from repro.faults.plan import FaultPlan
 from repro.ops import (
     FlightRecorder,
     OpsServer,
     RequestLog,
+    TraceHandle,
     demo_cluster,
     drive_request,
     new_trace_id,
@@ -41,13 +43,12 @@ from repro.workloads.catalog import (
     CATALOG_ALPHABET,
     catalog_type,
     generate_catalog,
+    named_queries,
     query1,
     query2,
     query3,
     query4,
 )
-
-_NAMED = {"q1": query1, "q2": query2, "q3": query3, "q4": query4}
 
 
 @pytest.fixture(autouse=True)
@@ -209,20 +210,25 @@ def _span(name: str, start: float = 0.0, **attrs) -> Span:
     return s
 
 
+def _offer(recorder: FlightRecorder, root, status: int = 200) -> None:
+    """Offer one finished request whose trace root is ``root``."""
+    recorder.offer(TraceHandle(new_trace_id(), root), status, 0.001)
+
+
 class TestFlightRecorder:
     def test_completed_ring_is_bounded(self):
         recorder = FlightRecorder(capacity=3, errored_capacity=8)
         for i in range(10):
-            recorder.record(_span(f"t{i}", start=float(i)))
+            _offer(recorder, _span(f"t{i}", start=float(i)))
         assert [r.name for r in recorder.completed()] == ["t7", "t8", "t9"]
-        assert recorder.stats()["recorded"] == 10
+        assert recorder.stats()["kept"] == 10
 
     def test_errored_survive_completed_churn(self):
         recorder = FlightRecorder(capacity=2, errored_capacity=64)
         for i in range(5):
-            recorder.record(_span(f"bad{i}", start=float(i), error="ValueError"))
+            _offer(recorder, _span(f"bad{i}", start=float(i), error="ValueError"))
         for i in range(20):
-            recorder.record(_span(f"ok{i}", start=100.0 + i))
+            _offer(recorder, _span(f"ok{i}", start=100.0 + i))
         assert len(recorder.completed()) == 2
         assert [r.name for r in recorder.errored()] == [f"bad{i}" for i in range(5)]
 
@@ -231,18 +237,22 @@ class TestFlightRecorder:
         root = _span("root")
         child = _span("child", error="KeyError")
         root.children.append(child)
-        recorder.record(root)
+        _offer(recorder, root)
         assert [r.name for r in recorder.errored()] == ["root"]
 
     def test_none_root_is_a_noop(self):
+        """With span collection off there is no root: the decision is
+        booked, nothing is held."""
         recorder = FlightRecorder()
-        recorder.record(None)
+        _offer(recorder, None)
         assert len(recorder) == 0
+        assert recorder.stats()["kept"] == 1
+        assert recorder.exemplars() == []
 
     def test_chrome_trace_dump_validates(self):
         recorder = FlightRecorder()
-        recorder.record(_span("a", start=1.0))
-        recorder.record(_span("b", start=2.0, error="X"))
+        _offer(recorder, _span("a", start=1.0))
+        _offer(recorder, _span("b", start=2.0, error="X"))
         document = recorder.chrome_trace()
         assert validate_chrome_trace(document) == 2
         tids = {e["tid"] for e in document["traceEvents"]}
@@ -257,7 +267,7 @@ class TestRequestLog:
     def test_ring_is_bounded_and_ordered(self):
         log = RequestLog(capacity=3)
         for i in range(6):
-            log.log("GET", f"/p{i}", 200, 0.001, f"t{i}", route=UNMATCHED)
+            log.log("GET", f"/p{i}", 200, 0.001, f"t{i}")
         recent = log.recent()
         assert [r["path"] for r in recent] == ["/p3", "/p4", "/p5"]
         assert log.logged == 6
@@ -265,7 +275,7 @@ class TestRequestLog:
     def test_jsonl_file_records(self, tmp_path):
         path = tmp_path / "requests.jsonl"
         log = RequestLog(path=path)
-        log.log("GET", "/ask", 200, 0.0042, "abc", route="/ask", knowledge_size=17)
+        log.log("GET", "/ask", 200, 0.0042, "abc", knowledge_size=17)
         log.close()
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows[0]["path"] == "/ask"
@@ -335,7 +345,7 @@ class TestOpsServer:
         srv = OpsServer(cluster, source=source)
         engine = cluster.engine("demo")
         sure, may_have_more = engine.answer_with_caveats(
-            parse_query_spec(spec, named=_NAMED)
+            parse_query_spec(spec, named=named_queries())
         )
         status, body = drive_request(srv, "/ask?q=" + quote(spec, safe=""))
         assert status == 200
@@ -348,6 +358,8 @@ class TestOpsServer:
             "sure_nodes": len(sure),
             "may_have_more": may_have_more,
             "knowledge_size": engine.size(),
+            "degraded": False,
+            "failed_shards": {},
         }
 
     def test_ask_path_query(self, server):
@@ -412,7 +424,7 @@ class TestOpsServer:
                 assert status == 400
             for _ in range(8):
                 _get(srv.url + "/healthz")
-            _wait_until(lambda: recorder.stats()["recorded"] >= 20)
+            _wait_until(lambda: recorder.stats()["kept"] >= 20)
         finally:
             srv.stop()
         stats = recorder.stats()
@@ -709,8 +721,9 @@ class TestAlwaysOnTelemetry:
         assert 'repro_slo_burning{objective="latency-99"}' in samples
 
     def test_telemetry_survives_obs_disabled(self):
-        """Sampler and SLO books run even with span collection off.
-        Latency books do not: the span is the only one."""
+        """The recorder's keep books and the SLO books run even with span
+        collection off.  Latency books do not: the span is the only one.
+        Nor do exemplars: there is no trace to hold or point at."""
         assert not obs.STATE.enabled
         srv = _demo_server()
         for _ in range(3):
@@ -727,7 +740,12 @@ class TestAlwaysOnTelemetry:
         assert availability["lifetime"]["good"] >= 3
         assert list(document["latency"]) == ["all"]
         assert document["latency"]["all"]["count"] == 0
-        assert srv.sampler.stats()["kept"] >= 3
+        assert document["sampler"]["kept"] >= 3
+        assert len(srv.recorder) == 0
+        assert srv.recorder.exemplars() == []
+        _, body = drive_request(srv, "/metrics")
+        assert "repro_http_exemplar_seconds" not in body
+        assert "repro_trace_sampler_kept_total 4" in body  # 3 asks, /slo
 
     def test_client_paths_do_not_reach_metric_names(self, server):
         """Paths that sanitize to one metric name, or carry ``}``, leave
@@ -761,8 +779,8 @@ class TestAlwaysOnTelemetry:
         requests = obs.STATE.metrics.family("latency.seconds", layer="ops.request")
         assert sorted(h.labels["path"] for h in requests) == ["/ask", UNMATCHED]
         assert sum(h.count for h in requests) == 501
-        rows = srv.request_log.exemplars()
-        assert sorted(row["path"] for row in rows) == ["/ask", UNMATCHED]
+        rows = srv.recorder.exemplars()
+        assert {row["path"] for row in rows} <= {"/ask", UNMATCHED}
         # the ring keeps the raw path
         assert srv.request_log.recent(1)[0]["path"] == "/missing-499"
         _, body = drive_request(srv, "/slo")
@@ -807,27 +825,81 @@ class TestAlwaysOnTelemetry:
     def test_flight_recorder_keep_reasons(self, server):
         _get(server.url + "/ask?q=q1")
         _get(server.url + "/ask?q=%5Bbad")  # errored -> always kept
-        _wait_until(lambda: server.recorder.stats()["recorded"] >= 2)
+        _wait_until(lambda: server.recorder.stats()["kept"] >= 2)
         stats = server.recorder.stats()
-        assert stats["recorded_by_reason"].get("head", 0) >= 1
-        assert stats["recorded_by_reason"].get("error", 0) >= 1
+        assert stats["by_reason"].get("head", 0) >= 1
+        assert stats["by_reason"].get("error", 0) >= 1
         assert all("keep" in root.attrs for root in server.recorder.roots())
 
     def test_head_rate_zero_keeps_only_tail_matches(self):
-        obs.enable(obs.RingBufferSink())
-        srv = _demo_server(head_rate=0.0).start()
+        obs.enable(obs.NullSink())
+        srv = _demo_server(recorder=FlightRecorder(head_rate=0.0)).start()
         try:
             for _ in range(5):
                 _get(srv.url + "/healthz")
             _get(srv.url + "/ask?q=%5Bbad")
-            _wait_until(lambda: srv.sampler.stats()["dropped"] >= 5)
+            _wait_until(lambda: srv.recorder.stats()["dropped"] >= 5)
         finally:
             srv.stop()
-        stats = srv.sampler.stats()
+        stats = srv.recorder.stats()
         assert stats["dropped"] >= 5  # healthy fast traffic not recorded
         assert stats["by_reason"].get("error", 0) >= 1
-        recorder = srv.recorder.stats()
-        assert recorder["recorded"] == recorder["recorded_errored"]
+        assert stats["retained_completed"] == 0
+        assert stats["retained_errored"] == stats["kept"]
+
+    def test_head_rate_zero_books_every_decision_once(self):
+        """One book: N healthy requests dropped, M errors kept, and the
+        reasons sum to the keeps — also with span collection off."""
+        srv = _demo_server(recorder=FlightRecorder(head_rate=0.0))
+        healthy, errors = 7, 3
+        for _ in range(healthy):
+            assert drive_request(srv, "/healthz")[0] == 200
+        for _ in range(errors):
+            assert drive_request(srv, "/debug/error")[0] == 500
+        _, body = drive_request(srv, "/statusz")
+        document = json.loads(body)
+        assert "sampler" not in document
+        books = document["flight_recorder"]
+        assert (books["kept"], books["dropped"]) == (errors, healthy)
+        assert sum(books["by_reason"].values()) == books["kept"]
+        assert books["by_reason"] == {"error": errors}
+
+    def test_metrics_exemplars_resolve_in_the_flight_recorder(self):
+        """Every exemplar trace id on ``/metrics`` is a trace that
+        ``/debug/flightrecorder`` still holds: the slowest ``/ask`` ever
+        (the first) has been evicted, so the exemplar is the slowest
+        held one (the 40th, the newest)."""
+        obs.enable(obs.NullSink())
+        plan = FaultPlan.parse(
+            "ops.request:latency:nth=1:ms=80;ops.request:latency:nth=40:ms=30"
+        )
+        srv = _demo_server(recorder=FlightRecorder(capacity=8), fault_plan=plan)
+        for _ in range(40):
+            assert drive_request(srv, "/ask?q=q1")[0] == 200
+        fortieth = srv.request_log.recent(1)[0]["trace_id"]
+        assert drive_request(srv, "/debug/error")[0] == 500
+        status, body = drive_request(srv, "/metrics")
+        assert status == 200
+        exemplars = {
+            name: value
+            for name, value in validate_prometheus_text(body).items()
+            if name.startswith("repro_http_exemplar_seconds{")
+        }
+        trace_ids = {
+            name.split('trace_id="', 1)[1].split('"', 1)[0] for name in exemplars
+        }
+        # slowest /ask, slowest /debug/error, newest 5xx (that same trace)
+        assert (len(exemplars), len(trace_ids)) == (3, 2)
+        slowest_ask = [n for n in exemplars if 'path="/ask"' in n]
+        assert len(slowest_ask) == 1 and f'trace_id="{fortieth}"' in slowest_ask[0]
+        assert exemplars[slowest_ask[0]] >= 0.03
+        _, body = drive_request(srv, "/debug/flightrecorder")
+        held = {
+            event["args"]["trace_id"]
+            for event in json.loads(body)["traceEvents"]
+            if "trace_id" in event.get("args", {})
+        }
+        assert trace_ids <= held
 
     def test_degrade_on_burn_applies_remedy(self):
         """A burning latency SLO applies its paper remedy to the engine."""

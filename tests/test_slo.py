@@ -1,4 +1,4 @@
-"""SLO objectives, the multi-window burn-rate engine, trace sampling.
+"""SLO objectives, the multi-window burn-rate engine, the trace keep rules.
 
 The engine's clock is injectable, so these tests drive time by hand:
 a burn alert must fire only when *every* window exceeds the threshold
@@ -15,21 +15,23 @@ import pytest
 from repro.mediator.source import InMemorySource
 from repro.mediator.webhouse import Webhouse
 from repro.obs.monitor import REMEDY_CONJUNCTIVE, REMEDY_LOSSY
-from repro.obs.sample import (
-    DEFAULT_SLOW_S,
-    REASON_ERROR,
-    REASON_HEAD,
-    REASON_SHED,
-    REASON_SLOW,
-    TraceSampler,
-)
 from repro.obs.slo import (
+    DEFAULT_SLOW_S,
     KIND_AVAILABILITY,
     KIND_LATENCY,
     Objective,
     SloEngine,
     default_objectives,
 )
+from repro.obs.spans import Span
+from repro.ops.flight import (
+    REASON_ERROR,
+    REASON_HEAD,
+    REASON_SHED,
+    REASON_SLOW,
+    FlightRecorder,
+)
+from repro.ops.trace import TraceHandle
 from repro.workloads.catalog import (
     CATALOG_ALPHABET,
     catalog_type,
@@ -251,20 +253,28 @@ def test_engine_rejects_bad_config():
         Objective("x", "latency", 0.99)  # latency needs a threshold
 
 
-# -- trace sampler ------------------------------------------------------------
+# -- the flight recorder's keep rules -----------------------------------------
+
+
+def _handle(trace_id: str, errored: bool = False) -> TraceHandle:
+    """A finished request's handle; ``errored`` marks a child span."""
+    root = Span("ops.request", {})
+    if errored:
+        root.children.append(Span("engine.step", {"error": "ValueError"}))
+    return TraceHandle(trace_id, root)
 
 
 def test_tail_rules_take_precedence():
-    sampler = TraceSampler(head_rate=0.0)  # head sampling keeps nothing
-    assert sampler.decide("t1", 200, 0.01) is None
-    assert sampler.decide("t2", 500, 0.01) == REASON_ERROR
-    assert sampler.decide("t3", 200, 0.01, errored=True) == REASON_ERROR
-    assert sampler.decide("t4", 503, 0.01) == REASON_SHED
-    assert sampler.decide("t5", 429, 0.01) == REASON_SHED
+    recorder = FlightRecorder(head_rate=0.0)  # head sampling keeps nothing
+    assert recorder.offer(_handle("t1"), 200, 0.01) is None
+    assert recorder.offer(_handle("t2"), 500, 0.01) == REASON_ERROR
+    assert recorder.offer(_handle("t3", errored=True), 200, 0.01) == REASON_ERROR
+    assert recorder.offer(_handle("t4"), 503, 0.01) == REASON_SHED
+    assert recorder.offer(_handle("t5"), 429, 0.01) == REASON_SHED
     # a shed 503 with an errored span tree is backpressure, not a bug
-    assert sampler.decide("t6", 503, 0.01, errored=True) == REASON_SHED
-    assert sampler.decide("t7", 200, DEFAULT_SLOW_S * 2) == REASON_SLOW
-    stats = sampler.stats()
+    assert recorder.offer(_handle("t6", errored=True), 503, 0.01) == REASON_SHED
+    assert recorder.offer(_handle("t7"), 200, DEFAULT_SLOW_S * 2) == REASON_SLOW
+    stats = recorder.stats()
     assert stats["kept"] == 6
     assert stats["dropped"] == 1
     assert stats["by_reason"] == {
@@ -272,27 +282,36 @@ def test_tail_rules_take_precedence():
         REASON_SHED: 3,
         REASON_SLOW: 1,
     }
+    # the kept roots are held, stamped with their reason; the slow one
+    # is the only healthy status among them
+    assert [root.attrs["keep"] for root in recorder.completed()] == [REASON_SLOW]
+    assert len(recorder.errored()) == 5
 
 
 def test_head_rate_one_keeps_everything():
-    sampler = TraceSampler(head_rate=1.0)
+    recorder = FlightRecorder(head_rate=1.0)
     for index in range(50):
-        assert sampler.decide(f"trace-{index}", 200, 0.001) == REASON_HEAD
-    assert sampler.stats()["keep_fraction"] == 1.0
+        assert recorder.offer(_handle(f"trace-{index}"), 200, 0.001) == REASON_HEAD
+    assert recorder.stats()["keep_fraction"] == 1.0
 
 
 def test_head_decision_is_deterministic_and_proportional():
-    sampler = TraceSampler(head_rate=0.25)
+    recorder = FlightRecorder(head_rate=0.25)
     ids = [f"trace-{i}" for i in range(4000)]
-    kept = [t for t in ids if sampler.head_decision(t)]
-    assert kept == [t for t in ids if sampler.head_decision(t)]  # stable
+    kept = [t for t in ids if recorder.head_decision(t)]
+    assert kept == [t for t in ids if recorder.head_decision(t)]  # stable
     assert 0.18 <= len(kept) / len(ids) <= 0.32
+    # offer() applies the same draw to healthy traffic
+    verdicts = [recorder.offer(TraceHandle(t, None), 200, 0.001) for t in ids]
+    assert [t for t, v in zip(ids, verdicts) if v == REASON_HEAD] == kept
 
 
 def test_sampler_rejects_bad_config():
     with pytest.raises(ValueError):
-        TraceSampler(head_rate=1.5)
+        FlightRecorder(head_rate=1.5)
     with pytest.raises(ValueError):
-        TraceSampler(head_rate=-0.1)
+        FlightRecorder(head_rate=-0.1)
     with pytest.raises(ValueError):
-        TraceSampler(slow_s=0.0)
+        FlightRecorder(slow_s=0.0)
+    with pytest.raises(ValueError):
+        FlightRecorder(capacity=0)

@@ -604,18 +604,21 @@ class TestSessionCli:
         capsys.readouterr()
 
     def test_query_spec_parsing(self):
-        from repro.__main__ import _parse_query_spec
+        """The CLI's QUERY argument: a named query or a slash path."""
+        from repro.core.parsing import parse_query_spec
+        from repro.workloads.catalog import named_queries
 
+        named = named_queries()
         doc = generate_catalog(8, seed=3)
-        assert _parse_query_spec("q1") == query1()
-        spec = _parse_query_spec("catalog/product/price[<300]")
+        assert parse_query_spec("q1", named=named) == query1()
+        spec = parse_query_spec("catalog/product/price[<300]", named=named)
         expected = linear_query(
             ["catalog", "product", "price"], [None, None, Cond.lt(300)]
         )
         assert spec.evaluate(doc) == expected.evaluate(doc)
-        bar = _parse_query_spec("catalog/~product")
+        bar = parse_query_spec("catalog/~product", named=named)
         assert bar.has_bars()
         with pytest.raises(ValueError):
-            _parse_query_spec("catalog/~product/name")
+            parse_query_spec("catalog/~product/name", named=named)
         with pytest.raises(ValueError):
-            _parse_query_spec("")
+            parse_query_spec("", named=named)
