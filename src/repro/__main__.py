@@ -376,12 +376,14 @@ def _export_cmd(args: list[str]) -> int:
     """Run the scripted workload, export Prometheus text / Chrome trace.
 
     ``--prometheus`` without a FILE writes the text exposition to
-    stdout; with a FILE it writes there.  ``--chrome FILE`` writes the
-    trace-event JSON.  With neither flag, defaults to ``--prometheus``.
+    stdout; with a FILE it writes there.  The exposition renders the
+    process book and the perf caches' books.  ``--chrome FILE`` writes
+    the trace-event JSON.  With neither flag, defaults to
+    ``--prometheus``.
     """
     from pathlib import Path as _Path
 
-    from . import obs
+    from . import obs, perf
 
     usage = "usage: python -m repro export [--prometheus [FILE]] [--chrome FILE] [n]"
     args = list(args)
@@ -403,7 +405,7 @@ def _export_cmd(args: list[str]) -> int:
     with obs.capture():
         _scripted_session(products)
         roots = obs.traces()
-        text = obs.prometheus_text()
+        text = obs.prometheus_text(obs.metrics, perf.cache_metrics())
     if prometheus:
         obs.validate_prometheus_text(text)
         if prometheus_file is not None:

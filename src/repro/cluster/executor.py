@@ -1,15 +1,14 @@
 """Scatter-gather execution of per-shard work on a thread pool.
 
-Fleet-wide operations (``ask_all``, ``stats_all``, checkpoints) fan one
-callable out over every shard and gather the results **in shard
-order** — the merge order is part of the cluster's determinism
-contract, so gather never reorders by completion time.
+Fleet-wide operations (``ask_all``, ``stats_all``, remedies) fan one
+callable out over shard indices — every shard, or those whose breaker
+admits them — and gather the results **in that order**: the merge
+order is part of the cluster's determinism contract.
 
-Each task runs with the target shard bound to the observability
-context (:func:`repro.obs.spans.set_shard`), so every engine span a
-scattered task closes carries a ``shard`` attribute and profiles /
-flight-recorder traces attribute work to shards even when the pool
-thread is reused across shards.
+Each task is called with its shard index and runs with that index
+bound to the observability context (:func:`repro.obs.spans.set_shard`),
+so every engine span a task closes carries the ``shard`` it ran on,
+however the pool threads are reused.
 
 Fault plans, trace ids and span parentage are context-scoped and
 thread pools do not inherit context, so :meth:`Executor.submit`
@@ -23,15 +22,17 @@ the pool thread's *own* span stack and popped after the task; the
 caller's stack list never crosses threads (a copied context would
 share it), and a span opened in a plain thread still never adopts a
 foreign parent.  Each task consults the injection site
-``cluster.task.<shard>`` before running, so schedules can stall,
-delay, or fail one specific shard.
+``cluster.task.<shard>`` inside its ``cluster.task`` span, so schedules
+can stall, delay, or fail one specific shard, and a task that fails
+there leaves a span marked ``error`` in the request's trace.
 
-A one-item fan-out runs inline on the caller's thread with no pool hop
+A one-shard fan-out runs inline on the caller's thread with no pool hop
 and no ``cluster.task`` span of its own — the fleet op's span around
-it already times it — but with the same shard binding and fault site.
+it already times it, and carries the ``error`` when the task fails —
+but with the same shard binding and fault site.
 
-:meth:`scatter` raises the first (item-order) error after all tasks
-finish; :meth:`scatter_outcomes` instead reports per-item
+:meth:`scatter` raises the first (in the given order) error after all
+tasks finish; :meth:`scatter_outcomes` instead reports per-shard
 :class:`TaskOutcome`\\ s and enforces an optional gather deadline —
 the building block for degraded partial fan-outs.
 """
@@ -52,6 +53,7 @@ from ..faults.inject import (
 )
 from ..faults.policies import Deadline, DeadlineExceeded
 from ..obs.spans import (
+    add_attrs,
     current_span,
     current_trace_id,
     reset_shard,
@@ -62,13 +64,12 @@ from ..obs.spans import (
 )
 from ..obs.state import STATE as _OBS
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 
 @dataclass
 class TaskOutcome(Generic[R]):
-    """One scattered task's result: a value or the error that ate it."""
+    """Shard ``index``'s task result: a value or the error that ate it."""
 
     index: int
     value: Optional[R] = None
@@ -116,11 +117,10 @@ class Executor:
             if stack is not None:
                 stack.append(parent)
             try:
-                with fault_scope(plan):
+                with fault_scope(plan), _span("cluster.task", shard=shard):
                     if _faults_armed():
                         _check_site(f"cluster.task.{shard}")
-                    with _span("cluster.task", shard=shard):
-                        return fn(*args, **kwargs)
+                    return fn(*args, **kwargs)
             finally:
                 if stack is not None:
                     stack.pop()
@@ -129,90 +129,66 @@ class Executor:
 
         return self._ensure_pool().submit(bound)
 
-    def scatter(
-        self, items: Sequence[T], fn: Callable[[int, T], R]
-    ) -> List[R]:
-        """Run ``fn(index, item)`` for every item concurrently; gather in
-        item order.
+    def scatter(self, shards: Sequence[int], fn: Callable[[int], R]) -> List[R]:
+        """Run ``fn(shard)`` for every shard index concurrently; gather in
+        the given order.
 
-        The first exception (in item order, not completion order) is
-        re-raised after every task has finished, so a failing shard
+        The first exception (in the given order, not completion order)
+        is re-raised after every task has finished, so a failing shard
         cannot leave siblings running against torn-down state.
         """
-        if not items:
-            return []
-        if len(items) == 1:
-            # no pool hop for a single shard: same semantics, less latency
-            return [self._run_inline(0, items[0], fn)]
-        futures = [self.submit(index, fn, index, item) for index, item in enumerate(items)]
-        results: List[R] = []
-        first_error: Optional[BaseException] = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # gather everything before raising
-                if first_error is None:
-                    first_error = exc
-                results.append(None)  # type: ignore[arg-type]
-        if first_error is not None:
-            raise first_error
-        return results
+        outcomes = self.scatter_outcomes(shards, fn)
+        for outcome in outcomes:
+            if not outcome.ok:
+                raise outcome.error  # type: ignore[misc]
+        return [outcome.value for outcome in outcomes]  # type: ignore[misc]
 
     def scatter_outcomes(
         self,
-        items: Sequence[T],
-        fn: Callable[[int, T], R],
+        shards: Sequence[int],
+        fn: Callable[[int], R],
         deadline: Optional[Deadline] = None,
     ) -> List[TaskOutcome[R]]:
-        """Like :meth:`scatter`, but no exception wins: every item gets a
-        :class:`TaskOutcome`, in item order.
+        """Like :meth:`scatter`, but no exception wins: every shard gets a
+        :class:`TaskOutcome`, in the given order.
 
         With a ``deadline``, each gather waits at most the remaining
         budget; an overrunning task (a stalled shard) is reported as
         :class:`DeadlineExceeded` without blocking the fan-out.  The
         task itself keeps running on its pool thread — threads cannot
-        be preempted — but its result is abandoned.  The single-item
+        be preempted — but its result is abandoned.  The single-shard
         inline shortcut is skipped under a deadline for the same
         reason: inline execution could not be timed out.
         """
-        if not items:
-            return []
-        if len(items) == 1 and deadline is None:
+        if len(shards) == 1 and deadline is None:
             try:
-                return [TaskOutcome(0, value=self._run_inline(0, items[0], fn))]
+                return [TaskOutcome(shards[0], value=self._run_inline(shards[0], fn))]
             except BaseException as exc:
-                return [TaskOutcome(0, error=exc)]
-        futures = [self.submit(index, fn, index, item) for index, item in enumerate(items)]
+                return [TaskOutcome(shards[0], error=exc)]
+        futures = [self.submit(shard, fn, shard) for shard in shards]
         outcomes: List[TaskOutcome[R]] = []
-        for index, future in enumerate(futures):
+        for shard, future in zip(shards, futures):
             try:
-                if deadline is None:
-                    outcomes.append(TaskOutcome(index, value=future.result()))
-                else:
-                    remaining = deadline.remaining()
-                    outcomes.append(
-                        TaskOutcome(index, value=future.result(timeout=remaining))
-                    )
+                timeout = None if deadline is None else deadline.remaining()
+                outcomes.append(TaskOutcome(shard, value=future.result(timeout=timeout)))
             except FutureTimeoutError:
                 future.cancel()
-                outcomes.append(
-                    TaskOutcome(
-                        index,
-                        error=DeadlineExceeded(
-                            f"task {index} missed the gather deadline"
-                        ),
-                    )
-                )
+                missed = DeadlineExceeded(f"shard {shard} task missed the gather deadline")
+                outcomes.append(TaskOutcome(shard, error=missed))
             except BaseException as exc:
-                outcomes.append(TaskOutcome(index, error=exc))
+                outcomes.append(TaskOutcome(shard, error=exc))
         return outcomes
 
-    def _run_inline(self, index: int, item: T, fn: Callable[[int, T], R]) -> R:
-        token = set_shard(index)
+    def _run_inline(self, shard: int, fn: Callable[[int], R]) -> R:
+        token = set_shard(shard)
         try:
             if _faults_armed():
-                _check_site(f"cluster.task.{index}")
-            return fn(index, item)
+                _check_site(f"cluster.task.{shard}")
+            return fn(shard)
+        except BaseException as exc:
+            # no task span of its own: the fan-out's span carries the error
+            add_attrs(error=type(exc).__name__)
+            raise
         finally:
             reset_shard(token)
 

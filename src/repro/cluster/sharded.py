@@ -342,29 +342,29 @@ class ShardedWebhouse:
                 else None
             )
             failed: Dict[int, str] = {}
-            live: List[Shard] = []
+            live: List[int] = []
             for shard in self._shards:
                 if shard.breaker.allow():
-                    live.append(shard)
+                    live.append(shard.index)
                 else:
                     failed[shard.index] = f"CircuitOpen: shard-{shard.index} is open"
 
-            def per_shard(_pos: int, shard: Shard) -> List[Tuple[str, DataTree, bool, int]]:
-                with self.admission.admit(shard.index):
+            def per_shard(index: int) -> List[Tuple[str, DataTree, bool, int]]:
+                with self.admission.admit(index):
                     if deadline is not None:
-                        deadline.require(f"shard {shard.index} answer_all")
-                    return shard.run(lambda host: host.answer_all(query))
+                        deadline.require(f"shard {index} answer_all")
+                    return self._shards[index].run(lambda host: host.answer_all(query))
 
             outcomes = self.executor.scatter_outcomes(live, per_shard, deadline=deadline)
             rows: List[Tuple[str, DataTree, bool, int]] = []
-            for shard, outcome in zip(live, outcomes):
+            for outcome in outcomes:
                 if outcome.ok:
                     rows.extend(outcome.value)
                 else:
                     error = outcome.error
-                    failed[shard.index] = f"{type(error).__name__}: {error}"
+                    failed[outcome.index] = f"{type(error).__name__}: {error}"
                     if isinstance(error, RETRYABLE_ERRORS):
-                        shard.breaker.record_failure()
+                        self._shards[outcome.index].breaker.record_failure()
             rows.sort(key=lambda row: row[0])
             merged: Optional[DataTree] = None
             may_have_more = not rows
@@ -397,8 +397,8 @@ class ShardedWebhouse:
         """
         with _span("cluster.apply_remedy", remedy=remedy):
             self.executor.scatter(
-                self._shards,
-                lambda _pos, shard: shard.run(
+                range(len(self._shards)),
+                lambda index: self._shards[index].run(
                     lambda host: host.apply_remedy(remedy), write=True
                 ),
             )
@@ -414,7 +414,8 @@ class ShardedWebhouse:
         """
         with _span("cluster.stats_all", shards=len(self._shards)):
             outcomes = self.executor.scatter_outcomes(
-                self._shards, lambda _pos, shard: shard.run(ShardHost.stats)
+                range(len(self._shards)),
+                lambda index: self._shards[index].run(ShardHost.stats),
             )
             admission = self.admission.stats()
             per_shard_stats: List[Dict[str, object]] = []

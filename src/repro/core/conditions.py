@@ -23,7 +23,7 @@ False
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .intervals import IntervalSet
 from .stringsets import StringSet
@@ -75,6 +75,14 @@ class ValueSet:
         return ValueSet.empty()
 
     # -- algebra -------------------------------------------------------------
+
+    @staticmethod
+    def union_of(sets: Sequence["ValueSet"]) -> "ValueSet":
+        """The union of any number of denotations, normalized once."""
+        return ValueSet(
+            IntervalSet.union_of(s.numbers for s in sets),
+            StringSet.union_of(s.strings for s in sets),
+        )
 
     def union(self, other: "ValueSet") -> "ValueSet":
         return ValueSet(self.numbers.union(other.numbers), self.strings.union(other.strings))
@@ -231,10 +239,27 @@ class Cond:
     @staticmethod
     def one_of(*raws: ValueInput) -> "Cond":
         """Disjunction of equalities."""
-        result = Cond.false()
-        for raw in raws:
-            result = result | Cond.eq(raw)
-        return result
+        return Cond.any_of([Cond.false(), *map(Cond.eq, raws)])
+
+    @staticmethod
+    def any_of(conds: Sequence["Cond"]) -> "Cond":
+        """``conds[0] | conds[1] | ...`` with the union normalized once.
+
+        The text is the left fold's, which shows a prefix as ``true`` /
+        ``false`` once its union is all / empty.  Unions only grow, so
+        only the last prefix can be all, and the empty ones lead.
+        """
+        if len(conds) == 1:
+            return conds[0]
+        values = ValueSet.union_of([c._values for c in conds])
+        last = len(conds) - 1
+        if values.is_all() and ValueSet.union_of([c._values for c in conds[:last]]).is_all():
+            start, head = last, "true"
+        else:
+            lead = next((i for i, c in enumerate(conds) if c.satisfiable()), len(conds))
+            start, head = (min(lead, last), "false") if lead else (1, repr(conds[0]))
+        tail = "".join(f" or {c!r})" for c in conds[start:])
+        return Cond(values, "(" * (len(conds) - start) + head + tail)
 
     # -- combinators -------------------------------------------------------------
 

@@ -10,13 +10,17 @@ non-adjacent rational intervals with open/closed endpoints (and
 Canonical form guarantees that two interval sets describe the same set
 of rationals iff they are equal as Python objects, which gives us exact
 satisfiability, implication and equivalence tests for conditions.
+
+A union of any number of sets is one sort and one merge sweep, an
+intersection walks both sorted lists once, and a complement is the
+gaps between consecutive intervals: near-linear, as the lemma allows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 # Endpoints are either a Fraction or None (None = the infinity on that side).
 Endpoint = Optional[Fraction]
@@ -88,19 +92,6 @@ class Interval:
 def point(value: Fraction) -> Interval:
     """The singleton interval ``[value, value]``."""
     return Interval(value, value, True, True)
-
-
-def _before(a: Interval, b: Interval) -> bool:
-    """True when ``a`` ends strictly before ``b`` starts, with a gap
-    (so they can appear consecutively in canonical form)."""
-    if a.high is None or b.low is None:
-        return False
-    if a.high < b.low:
-        return True
-    if a.high == b.low:
-        # adjacent; they merge unless both endpoints are open (gap of one point)
-        return not a.high_closed and not b.low_closed
-    return False
 
 
 def _overlap_or_touch(a: Interval, b: Interval) -> bool:
@@ -282,26 +273,43 @@ class IntervalSet:
 
     # -- algebra ---------------------------------------------------------------
 
+    @staticmethod
+    def union_of(sets: Iterable["IntervalSet"]) -> "IntervalSet":
+        """The union of any number of sets, canonicalized once."""
+        return IntervalSet(iv for member in sets for iv in member._intervals)
+
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(list(self._intervals) + list(other._intervals))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        """One walk: the interval that ends first meets nothing later in
+        the other list.  The pieces come out canonical."""
+        left, right = self._intervals, other._intervals
         pieces = []
-        for a in self._intervals:
-            for b in other._intervals:
-                piece = _intersect(a, b)
-                if piece is not None:
-                    pieces.append(piece)
-        return IntervalSet(pieces)
+        i = j = 0
+        while i < len(left) and j < len(right):
+            a, b = left[i], right[j]
+            piece = _intersect(a, b)
+            if piece is not None:
+                pieces.append(piece)
+            if _ends_first(a, b):
+                i += 1
+            else:
+                j += 1
+        return _canonical(tuple(pieces))
 
     def complement(self) -> "IntervalSet":
-        result = [Interval(None, None, False, False)]
+        """The gaps around the intervals (each non-empty, by canonicity)."""
+        gaps = []
+        low: Endpoint = None
+        low_closed = False
         for iv in self._intervals:
-            new_result = []
-            for r in result:
-                new_result.extend(_subtract(r, iv))
-            result = new_result
-        return IntervalSet(result)
+            if iv.low is not None:
+                gaps.append(Interval(low, iv.low, low_closed, not iv.low_closed))
+            low, low_closed = iv.high, not iv.high_closed
+        if low is not None or not self._intervals:
+            gaps.append(Interval(low, None, low_closed, False))
+        return _canonical(tuple(gaps))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other.complement())
@@ -339,17 +347,20 @@ def _second_sample(iv: Interval) -> Optional[Fraction]:
     return None
 
 
-def _subtract(a: Interval, b: Interval) -> Sequence[Interval]:
-    """``a`` minus ``b`` as 0, 1 or 2 intervals."""
-    inter = _intersect(a, b)
-    if inter is None:
-        return [a]
-    pieces = []
-    if inter.low is not None and (a.low is None or a.low < inter.low or (a.low == inter.low and a.low_closed and not inter.low_closed)):
-        pieces.append(Interval(a.low, inter.low, a.low_closed, not inter.low_closed))
-    if inter.high is not None and (a.high is None or a.high > inter.high or (a.high == inter.high and a.high_closed and not inter.high_closed)):
-        pieces.append(Interval(inter.high, a.high, not inter.high_closed, a.high_closed))
-    return pieces
+def _ends_first(a: Interval, b: Interval) -> bool:
+    """Does ``a`` end no later than ``b`` (None = +inf)?"""
+    if a.high is None:
+        return b.high is None
+    if b.high is None or a.high < b.high:
+        return True
+    return a.high == b.high and (b.high_closed or not a.high_closed)
+
+
+def _canonical(intervals: Tuple[Interval, ...]) -> IntervalSet:
+    """Wrap intervals already in canonical form, skipping the sweep."""
+    result = IntervalSet.__new__(IntervalSet)
+    result._intervals = intervals
+    return result
 
 
 def _sort_key(iv: Interval):
@@ -375,7 +386,5 @@ def _canonicalize(intervals: list) -> Tuple[Interval, ...]:
     return tuple(merged)
 
 
-_EMPTY = IntervalSet.__new__(IntervalSet)
-_EMPTY._intervals = ()
-_ALL = IntervalSet.__new__(IntervalSet)
-_ALL._intervals = (Interval(None, None, False, False),)
+_EMPTY = _canonical(())
+_ALL = _canonical((Interval(None, None, False, False),))

@@ -104,11 +104,11 @@ class _CondParser:
         return token
 
     def parse_or(self) -> Cond:
-        left = self.parse_and()
+        disjuncts = [self.parse_and()]
         while self.peek() is not None and self.peek()[0] == "or":
             self.take()
-            left = left | self.parse_and()
-        return left
+            disjuncts.append(self.parse_and())
+        return Cond.any_of(disjuncts)
 
     def parse_and(self) -> Cond:
         left = self.parse_unary()

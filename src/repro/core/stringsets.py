@@ -93,6 +93,16 @@ class StringSet:
 
     # -- algebra ------------------------------------------------------------------
 
+    @staticmethod
+    def union_of(sets: Iterable["StringSet"]) -> "StringSet":
+        """The union of any number of sets in one pass."""
+        sets = list(sets)
+        members = frozenset().union(*(s._members for s in sets if not s._cofinite))
+        excluded = [s._members for s in sets if s._cofinite]
+        if not excluded:
+            return StringSet(members)
+        return StringSet(frozenset.intersection(*excluded) - members, cofinite=True)
+
     def union(self, other: "StringSet") -> "StringSet":
         if self._cofinite and other._cofinite:
             return StringSet(self._members & other._members, cofinite=True)

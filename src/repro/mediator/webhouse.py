@@ -31,7 +31,6 @@ from ..obs.monitor import (
     REMEDY_LINEAR,
     REMEDY_LOSSY,
 )
-from ..obs.registry import Metrics
 from ..obs.spans import span as _span
 from ..obs.state import STATE as _OBS
 from ..refine.conjunctive import ConjunctiveIncompleteTree, refine_plus_sequence
@@ -73,9 +72,10 @@ class Webhouse:
         self._history: List[Tuple[PSQuery, DataTree]] = []
         self._all_linear = True
         self._session: Optional["Session"] = None
-        #: Per-instance books (always on, cheap): counts of the operations
-        #: this warehouse performed, independent of the global obs switch.
-        self.metrics = Metrics()
+        #: Source round trips (asks, completions) this warehouse made,
+        #: counted whether or not global observability is on.
+        self._asks = 0
+        self._completions = 0
         #: Growth watchdog fed on every record (docs/OBSERVABILITY.md).
         #: The default instance classifies but never alerts; configure
         #: budgets and callbacks via :meth:`guard` or pass your own.
@@ -152,7 +152,6 @@ class Webhouse:
             )
             replayed = webhouse._load(session)
             webhouse._session = session
-            webhouse.metrics.inc("webhouse.resumes")
             if _OBS.enabled:
                 _OBS.metrics.inc("webhouse.resumes")
                 _OBS.metrics.observe("webhouse.resume_replayed", replayed)
@@ -250,7 +249,6 @@ class Webhouse:
         """
         with _span("webhouse.record") as sp:
             self._apply_record(query, answer)
-            self.metrics.inc("webhouse.records")
             self._journal(
                 {
                     "type": "record",
@@ -328,7 +326,6 @@ class Webhouse:
             for query, answer in pairs:
                 self._history.append((query, answer))
                 self._all_linear = self._all_linear and query.is_linear()
-                self.metrics.inc("webhouse.records")
                 self._journal(
                     {
                         "type": "record",
@@ -337,7 +334,6 @@ class Webhouse:
                         "answer": _codec.tree_to_json(answer),
                     }
                 )
-            self.metrics.inc("webhouse.batches")
             size = self._representation_size()
             if _OBS.enabled:
                 _OBS.metrics.inc("webhouse.batches")
@@ -356,7 +352,7 @@ class Webhouse:
         """Query the source and fold the answer into knowledge."""
         with _span("webhouse.ask"):
             answer = source.ask(query)
-            self.metrics.inc("webhouse.asks")
+            self._asks += 1
             if _OBS.enabled:
                 _OBS.metrics.inc("webhouse.asks")
             self.record(query, answer, _origin="ask")
@@ -448,7 +444,6 @@ class Webhouse:
                 self.compact()
             else:
                 raise ValueError(f"unknown remedy {remedy!r}")
-            self.metrics.inc(f"webhouse.remedy.{remedy}")
             if _OBS.enabled:
                 _OBS.metrics.inc(f"webhouse.remedy.{remedy}")
             self.monitor.reset_window()
@@ -512,8 +507,8 @@ class Webhouse:
     def stats(self) -> Dict[str, object]:
         """Operation counts and current knowledge shape, as plain data.
 
-        Built on the per-instance metrics registry (``self.metrics``) so
-        the counts are exact whether or not global observability is on.
+        The counts are the warehouse's own, exact whether or not global
+        observability is on.
         In conjunctive mode the shape is reported from the layers
         (materializing the product just for stats would defeat the
         remedy).
@@ -535,8 +530,8 @@ class Webhouse:
             }
         return {
             "queries_recorded": len(self._history),
-            "asks": int(self.metrics.value("webhouse.asks")),
-            "source_completions": int(self.metrics.value("webhouse.completions")),
+            "asks": self._asks,
+            "source_completions": self._completions,
             **shape,
             "engine": self.engine,
             "growth_regime": self.monitor.classification(),
@@ -648,7 +643,7 @@ class Webhouse:
         """
         with _span("webhouse.complete_and_answer") as sp:
             plan = self.completion_plan(query)
-            self.metrics.inc("webhouse.completions")
+            self._completions += 1
             self._journal(
                 {
                     "type": "complete",

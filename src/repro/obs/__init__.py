@@ -46,7 +46,6 @@ from .explain import Explanation, explain_ask, explain_refine, isolated_observat
 from .export import (
     chrome_trace,
     chrome_trace_events,
-    labeled_gauge_lines,
     prometheus_text,
     validate_chrome_trace,
     validate_prometheus_text,
@@ -190,7 +189,6 @@ __all__ = [
     "explain_ask",
     "explain_refine",
     "isolated_observation",
-    "labeled_gauge_lines",
     "metrics",
     "profile",
     "profile_traces",

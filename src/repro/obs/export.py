@@ -3,13 +3,14 @@
 Two renderings of what ``repro.obs`` collects, in formats existing
 tooling already understands:
 
-* :func:`prometheus_text` — the metrics registry as Prometheus text
+* :func:`prometheus_text` — metrics registries as Prometheus text
   exposition format (version 0.0.4): counters become ``*_total``
   counter families, histograms become summaries (``_count`` / ``_sum``)
   plus ``_min`` / ``_max`` gauges.  Each family is declared once, with
-  one sample group per label set.  :func:`validate_prometheus_text` is
-  a strict structural checker (used by tests and CI) so exports stay
-  scrape-able without requiring the ``prometheus_client`` package.
+  one sample group per label set.  It is the only code that writes
+  exposition text.  :func:`validate_prometheus_text` is a strict
+  structural checker (used by tests and CI) so exports stay scrape-able
+  without requiring the ``prometheus_client`` package.
 * :func:`chrome_trace` — finished span trees as Chrome ``trace_event``
   JSON (complete ``"X"`` events with microsecond timestamps), loadable
   in ``chrome://tracing`` / Perfetto.  :func:`validate_chrome_trace`
@@ -25,7 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from .registry import Metrics
+from .registry import Metrics, instrument_order
 from .sketch import SUMMARY_QUANTILES
 from .spans import Span
 
@@ -43,13 +44,9 @@ _VALID_TYPES = frozenset(["counter", "gauge", "histogram", "summary", "untyped"]
 _name = attrgetter("name")
 
 
-def sanitize_metric_name(name: str, namespace: str = "repro") -> str:
+def sanitize_metric_name(name: str) -> str:
     """Dotted registry name -> legal Prometheus metric name."""
-    cleaned = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    full = f"{namespace}_{cleaned}" if namespace else cleaned
-    if not _NAME_RE.match(full):
-        full = "_" + full
-    return full
+    return "repro_" + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
 
 
 def _fmt_value(value: object) -> str:
@@ -76,93 +73,43 @@ def _render_labels(labels: Dict[str, str]) -> str:
     return "{" + inner + "}"
 
 
-def labeled_gauge_lines(
-    family: str,
-    help_text: str,
-    samples: Sequence[Dict[str, object]],
-) -> List[str]:
-    """One gauge family with labelled samples (exemplar-style series).
-
-    Each sample dict needs a ``"value"``; every other key becomes a
-    label (values stringified and escaped).  Used for the exemplar
-    trace-id series: the labels carry ``trace_id`` so a scrape links a
-    quantile family to a concrete flight-recorder trace.
-    """
-    lines = [f"# HELP {family} {help_text}", f"# TYPE {family} gauge"]
-    for sample in samples:
-        labels = {k: str(v) for k, v in sample.items() if k != "value"}
-        lines.append(
-            f"{family}{_render_labels(labels)} {_fmt_value(sample['value'])}"
-        )
-    return lines
-
-
 def _declare(lines: List[str], family: str, kind: str, help_text: str) -> None:
     lines.append(f"# HELP {family} {help_text}")
     lines.append(f"# TYPE {family} {kind}")
 
 
-def _cache_metric_lines(namespace: str) -> List[str]:
-    """Perf-cache hit/miss/eviction counters as exposition lines.
+def prometheus_text(*registries: Metrics) -> str:
+    """Render metrics registries in Prometheus text exposition format.
 
-    Read off the always-on per-table books, as
-    :func:`repro.perf.cache_stats` is, so ``/metrics`` and ``python -m
-    repro export`` report cache behaviour next to the obs registry.
-    Imported lazily — ``repro.perf`` depends on ``repro.obs``, not vice
-    versa.
+    With no registry, the process book (``repro.obs.metrics``).  The
+    instruments of every registry are merged per kind and sorted by
+    name, then labels, so each family is declared once however many
+    registries carry it; one label set must not appear in two of them.
     """
-    from ..perf import STATE as _PERF
-
-    lines: List[str] = []
-    enabled_family = sanitize_metric_name("cache.enabled", namespace)
-    _declare(lines, enabled_family, "gauge", "repro perf caches switch (1=on)")
-    lines.append(f"{enabled_family} {1 if _PERF.enabled else 0}")
-    for table, cache in sorted(_PERF.caches.items()):
-        for suffix, value in (
-            ("hits", cache.hits),
-            ("misses", cache.misses),
-            ("evictions", cache.evictions),
-        ):
-            family = sanitize_metric_name(f"cache.{table}.{suffix}", namespace) + "_total"
-            _declare(lines, family, "counter", f"repro perf cache {table} {suffix}")
-            lines.append(f"{family} {_fmt_value(value)}")
-        size_family = sanitize_metric_name(f"cache.{table}.size", namespace)
-        _declare(lines, size_family, "gauge", f"repro perf cache {table} live entries")
-        lines.append(f"{size_family} {len(cache)}")
-    return lines
-
-
-def prometheus_text(
-    metrics: Optional[Metrics] = None,
-    namespace: str = "repro",
-    include_caches: bool = True,
-) -> str:
-    """Render a metrics registry in Prometheus text exposition format.
-
-    With ``include_caches`` (the default) the :mod:`repro.perf` memo
-    tables contribute ``<namespace>_cache_<table>_{hits,misses,evictions}_total``
-    counters and per-table size gauges, so cache behaviour is scrape-able
-    alongside the registry.
-    """
-    if metrics is None:
+    if not registries:
         from .state import STATE
 
-        metrics = STATE.metrics
+        registries = (STATE.metrics,)
+
+    def merged(kind: str) -> List:
+        return sorted(
+            (i for metrics in registries for i in metrics.instruments(kind)),
+            key=instrument_order,
+        )
+
     lines: List[str] = []
-    if include_caches:
-        lines.extend(_cache_metric_lines(namespace))
     for kind, suffix in (("counter", "_total"), ("gauge", "")):
-        for name, members in groupby(metrics.instruments(kind), key=_name):
-            family = sanitize_metric_name(name, namespace) + suffix
+        for name, members in groupby(merged(kind), key=_name):
+            family = sanitize_metric_name(name) + suffix
             _declare(lines, family, kind, f"repro {kind} {name}")
             for instrument in members:
                 lines.append(
                     f"{family}{_render_labels(instrument.labels)} "
                     f"{_fmt_value(instrument.value)}"
                 )
-    for name, group in groupby(metrics.instruments("histogram"), key=_name):
+    for name, group in groupby(merged("histogram"), key=_name):
         members = list(group)
-        family = sanitize_metric_name(name, namespace)
+        family = sanitize_metric_name(name)
         _declare(lines, family, "summary", f"repro histogram {name}")
         for histogram in members:
             labels = histogram.labels
@@ -338,7 +285,6 @@ def validate_chrome_trace(document: object) -> int:
 __all__ = [
     "chrome_trace",
     "chrome_trace_events",
-    "labeled_gauge_lines",
     "prometheus_text",
     "sanitize_metric_name",
     "validate_chrome_trace",

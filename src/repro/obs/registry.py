@@ -76,10 +76,6 @@ class Gauge:
         with self._lock:
             self.value = value
 
-    def add(self, amount: Number = 1) -> None:
-        with self._lock:
-            self.value += amount
-
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, value={self.value})"
 
@@ -164,6 +160,11 @@ def _display(instrument: Union[Counter, Gauge, Histogram]) -> str:
     return f"{instrument.name}{{{inner}}}"
 
 
+def instrument_order(instrument: Union[Counter, Gauge, Histogram]) -> tuple:
+    """Sort key: by name, then labels (a family's label sets adjacent)."""
+    return instrument.name, sorted(instrument.labels.items())
+
+
 def merged_summary(histograms: Iterable[Histogram]) -> Dict[str, object]:
     """The whole-stream summary of several label sets' pooled
     observations (sketch merge is exact-as-if-pooled)."""
@@ -174,9 +175,10 @@ class Metrics:
     """A registry of named, optionally labelled counters, gauges and
     histograms.
 
-    One global instance lives on :data:`repro.obs.state.STATE`;
-    components that want private books (e.g. per-:class:`Webhouse`
-    statistics) instantiate their own.
+    A registry is either the process book on
+    :data:`repro.obs.state.STATE`, which holds events (counts and
+    latencies as they happen), or one scrape's book: a fresh instance
+    filled with point-in-time values, rendered, then dropped.
     """
 
     __slots__ = ("_counters", "_gauges", "_histograms", "_lock")
@@ -224,11 +226,6 @@ class Metrics:
         instrument = self._counters.get(_key(name, labels))
         return instrument.value if instrument is not None else 0
 
-    def gauge_value(self, name: str, **labels: str) -> Number:
-        """Current value of a gauge (0 when never set)."""
-        instrument = self._gauges.get(_key(name, labels))
-        return instrument.value if instrument is not None else 0
-
     def series(self, name: str, **labels: str) -> List[Number]:
         """Recent observations of a histogram (empty when unknown)."""
         instrument = self._histograms.get(_key(name, labels))
@@ -243,8 +240,7 @@ class Metrics:
         """Every ``"counter"``, ``"gauge"`` or ``"histogram"`` instrument,
         sorted by name, then by labels — each family's label sets are
         adjacent."""
-        table = getattr(self, f"_{kind}s")
-        return sorted(table.values(), key=lambda i: (i.name, sorted(i.labels.items())))
+        return sorted(getattr(self, f"_{kind}s").values(), key=instrument_order)
 
     def family(self, name: str, **match: str) -> List[Histogram]:
         """The label sets of histogram family ``name`` that carry every

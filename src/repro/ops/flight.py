@@ -172,9 +172,10 @@ class FlightRecorder:
         route label, then the newest 5xx.
 
         Only request roots (those whose latency labels carry the route)
-        qualify.  Each row carries ``value`` (seconds) plus label fields
-        — the shape :func:`repro.obs.export.labeled_gauge_lines`
-        renders.
+        qualify.  Each row is ``{path, trace_id, status, kind, value}``
+        with ``value`` in seconds: ``/metrics`` sets one
+        ``http.exemplar_seconds`` gauge per row in the scrape's
+        registry, labelled by the other four fields.
         """
         with self._lock:
             completed = list(self._completed)

@@ -6,8 +6,8 @@ exposing the observability stack while requests are in flight:
 ==========================  ====================================================
 ``/healthz``                liveness probe (``ok``)
 ``/statusz``                per-shard pool rollup + server books, JSON
-``/metrics``                Prometheus text exposition (registry + perf caches)
-``/profile``                aggregated span profile, JSON
+``/metrics``                Prometheus text: process book + this scrape's books
+``/profile``                span profile of the flight recorder's held traces
 ``/sessions``               durable-store listing (read-only peek, no locks)
 ``/ask?q=SPEC``             answer a path query, per session or fleet-wide
 ``/slo``                    SLO burn-rate state + trace keep books, JSON
@@ -44,8 +44,9 @@ so a server hosting one session is a pool holding one session, served
 the same way.  ``/ask?q=SPEC&session=KEY`` is routed through the
 consistent-hash ring; ``/ask`` *without* a session answers fleet-wide
 (scatter-gather certain-answer union); ``/statusz`` carries the
-per-shard rollup and ``/metrics`` the ``repro_shard_*`` series.  The
-server holds no engine lock of its own: every engine access passes the
+per-shard rollup and ``/metrics`` the ``repro_shard_*`` series, read
+into a registry of the scrape's own, so a server exposes only its own
+pool's shards.  The server holds no engine lock of its own: every engine access passes the
 pool's per-shard admission gate, circuit breaker and readers-writer
 lock, and an overloaded shard surfaces as HTTP 503 with a
 ``Retry-After`` hint (:class:`~repro.cluster.admission.ShardOverloaded`).
@@ -62,6 +63,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from .. import perf
 from ..cluster import ShardedWebhouse, ShardOverloaded
 from ..cluster.sharded import cluster_latency
 from ..core.parsing import parse_query_spec
@@ -74,9 +76,9 @@ from ..faults.inject import (
 from ..faults.plan import FaultError, FaultPlan
 from ..faults.policies import CircuitOpen, DeadlineExceeded
 from ..mediator.source import InMemorySource
-from ..obs.export import labeled_gauge_lines, prometheus_text
+from ..obs.export import prometheus_text
 from ..obs.profile import profile_traces
-from ..obs.registry import merged_summary
+from ..obs.registry import Metrics, merged_summary
 from ..obs.slo import SloAlert, SloEngine, default_objectives
 from ..obs.spans import LATENCY, add_attrs
 from ..obs.state import STATE as _OBS
@@ -453,8 +455,6 @@ class OpsServer:
         return 200, json.dumps(document, sort_keys=True, default=str) + "\n", _JSON
 
     def _cache_summary(self) -> Dict[str, object]:
-        from .. import perf
-
         stats = perf.cache_stats()
         return {
             "enabled": stats["enabled"],
@@ -464,73 +464,43 @@ class OpsServer:
         }
 
     def _handle_metrics(self, params, extras) -> Tuple[int, str, str]:
-        if _OBS.enabled:
-            # point-in-time gauges refreshed per scrape
-            _OBS.metrics.set_gauge("ops.uptime_seconds", round(self.uptime_s, 3))
-            rollup = self.cluster.stats_all()
-            _OBS.metrics.set_gauge("cluster.shards", rollup["shards"])
-            _OBS.metrics.set_gauge("cluster.sessions", rollup["sessions"])
-            _OBS.metrics.set_gauge("cluster.knowledge_size", rollup["knowledge_size"])
-            for stats in rollup["per_shard"]:
-                index = stats["shard"]
-                _OBS.metrics.set_gauge(f"shard.{index}.sessions", stats["sessions"])
-                _OBS.metrics.set_gauge(
-                    f"shard.{index}.knowledge_size", stats["knowledge_size"]
-                )
-                _OBS.metrics.set_gauge(
-                    f"shard.{index}.queries_recorded", stats["queries_recorded"]
-                )
-                admission = stats["admission"]
-                _OBS.metrics.set_gauge(
-                    f"shard.{index}.in_flight", admission["in_flight"]
-                )
-                _OBS.metrics.set_gauge(f"shard.{index}.admitted", admission["admitted"])
-                _OBS.metrics.set_gauge(f"shard.{index}.shed", admission["shed"])
-        return 200, prometheus_text() + self._telemetry_lines(), _PROM
+        return 200, prometheus_text(_OBS.metrics, self._scrape_metrics()), _PROM
 
-    def _telemetry_lines(self) -> str:
-        """The always-on telemetry series appended to ``/metrics``.
-
-        Trace-id exemplars (the slowest held trace per route, the newest
-        held 5xx) and the recorder's keep books, then the SLO books.
-        Latency quantiles are not here: they are the registry's
-        ``latency.seconds`` family.  Everything here passes
-        :func:`validate_prometheus_text`.
-        """
-        lines: list = []
-        exemplars = self.recorder.exemplars()
-        if exemplars:
-            lines.extend(
-                labeled_gauge_lines(
-                    "repro_http_exemplar_seconds",
-                    "trace-id exemplars: slowest held trace per route, newest held 5xx",
-                    exemplars,
-                )
-            )
+    def _scrape_metrics(self) -> Metrics:
+        """This scrape's point-in-time books, in a fresh registry that
+        ``/metrics`` renders beside the process book of events: the perf
+        caches, uptime, the pool rollup, the recorder's keep counts and
+        exemplars, and the SLO books.  None of it outlives the scrape."""
+        scrape = perf.cache_metrics()
+        scrape.set_gauge("ops.uptime_seconds", round(self.uptime_s, 3))
+        rollup = self.cluster.stats_all()
+        for name in ("shards", "sessions", "knowledge_size"):
+            scrape.set_gauge(f"cluster.{name}", rollup[name])
+        for stats in rollup["per_shard"]:
+            prefix = f"shard.{stats['shard']}"
+            for name in ("sessions", "knowledge_size", "queries_recorded"):
+                scrape.set_gauge(f"{prefix}.{name}", stats[name])
+            for name in ("in_flight", "admitted", "shed"):
+                scrape.set_gauge(f"{prefix}.{name}", stats["admission"][name])
         books = self.recorder.stats()
-        for suffix, value in (("kept", books["kept"]), ("dropped", books["dropped"])):
-            name = f"repro_trace_sampler_{suffix}_total"
-            lines.append(f"# HELP {name} traces {suffix} by the flight recorder")
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name} {value}")
-        lines.append("# HELP repro_slo_alerts_total SLO burn/resolve events fired")
-        lines.append("# TYPE repro_slo_alerts_total counter")
-        lines.append(f"repro_slo_alerts_total {len(self.slo.alerts)}")
-        burning = set(self.slo.burning())
-        lines.extend(
-            labeled_gauge_lines(
-                "repro_slo_burning",
-                "1 while the objective is in a burn episode",
-                [
-                    {"objective": objective.name, "value": 1 if objective.name in burning else 0}
-                    for objective in self.slo.objectives
-                ],
+        scrape.inc("trace_sampler.kept", books["kept"])
+        scrape.inc("trace_sampler.dropped", books["dropped"])
+        for row in self.recorder.exemplars():
+            value = row.pop("value")
+            scrape.set_gauge(
+                "http.exemplar_seconds", value, **{k: str(v) for k, v in row.items()}
             )
-        )
-        return "\n".join(lines) + ("\n" if lines else "")
+        scrape.inc("slo.alerts", len(self.slo.alerts))
+        burning = set(self.slo.burning())
+        for objective in self.slo.objectives:
+            scrape.set_gauge(
+                "slo.burning", int(objective.name in burning), objective=objective.name
+            )
+        return scrape
 
     def _handle_profile(self, params, extras) -> Tuple[int, str, str]:
-        profile = profile_traces(list(_OBS.traces))
+        """The span profile of the traces ``/debug/flightrecorder`` shows."""
+        profile = profile_traces(self.recorder.roots())
         return 200, json.dumps(profile.to_dict(), sort_keys=True, default=str) + "\n", _JSON
 
     def _handle_sessions(self, params, extras) -> Tuple[int, str, str]:

@@ -59,25 +59,12 @@ class TraceHandle:
         if self.root is not None:
             self.root.attrs.update(attrs)
 
-    @property
-    def errored(self) -> bool:
-        """Did the root span (or any descendant) record an error?"""
-        if self.root is None:
-            return False
-        return _subtree_errored(self.root)
-
-    @property
-    def duration_s(self) -> Optional[float]:
-        """Root span duration in seconds (None while open or disabled)."""
-        if self.root is None or self.root.end is None:
-            return None
-        return max(0.0, self.root.end - self.root.start)
-
     def __repr__(self) -> str:
         return f"TraceHandle({self.trace_id!r}, root={self.root!r})"
 
 
 def _subtree_errored(node: Span) -> bool:
+    """Did ``node`` or any descendant close with an ``error``?"""
     if "error" in node.attrs:
         return True
     return any(_subtree_errored(child) for child in node.children)

@@ -34,7 +34,8 @@ Typical usage::
         ground_truth = recompute()
 
 Hit/miss counts are always kept per table, and every surface reads
-them there (``python -m repro stats --caches``, ``/metrics``).
+them there: :func:`cache_stats` as JSON, :func:`cache_metrics` as a
+fresh registry for ``/metrics`` and ``python -m repro export``.
 See ``docs/PERFORMANCE.md`` for keys, eviction and safety invariants.
 """
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
+from ..obs.registry import Metrics
 from .intern import InternPool
 from .memo import DEFAULT_CAPACITY, LRUCache, MISS
 from .state import STATE, PerfState, TABLE_CAPACITIES
@@ -99,6 +101,19 @@ def cache_stats() -> Dict[str, object]:
     }
 
 
+def cache_metrics() -> Metrics:
+    """The tables' books as a fresh registry, for one exposition:
+    ``cache.enabled``, counters ``cache.<table>.{hits,misses,evictions}``
+    and gauges ``cache.<table>.size``."""
+    books = Metrics()
+    books.set_gauge("cache.enabled", int(STATE.enabled))
+    for table, cache in STATE.caches.items():
+        for book in ("hits", "misses", "evictions"):
+            books.inc(f"cache.{table}.{book}", getattr(cache, book))
+        books.set_gauge(f"cache.{table}.size", len(cache))
+    return books
+
+
 __all__ = [
     "DEFAULT_CAPACITY",
     "InternPool",
@@ -107,6 +122,7 @@ __all__ = [
     "PerfState",
     "STATE",
     "TABLE_CAPACITIES",
+    "cache_metrics",
     "cache_stats",
     "cached",
     "caches_enabled",

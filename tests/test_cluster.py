@@ -39,7 +39,7 @@ from repro.mediator.source import InMemorySource
 from repro.mediator.webhouse import Webhouse
 from repro.obs.sinks import NullSink
 from repro.obs.spans import current_trace_id, reset_trace_id, set_trace_id
-from repro.ops import OpsServer, demo_cluster, drive_request
+from repro.ops import FlightRecorder, OpsServer, demo_cluster, drive_request
 from repro.ops.server import self_check
 from repro.store import SessionStore
 from repro.workloads.catalog import (
@@ -72,6 +72,11 @@ def _cluster(shards: int, **kwargs) -> ShardedWebhouse:
     return ShardedWebhouse(
         CATALOG_ALPHABET, tree_type=catalog_type(), shards=shards, **kwargs
     )
+
+
+def _descendants(node) -> list:
+    """Every span strictly below ``node``."""
+    return [span for child in node.children for span in [child, *_descendants(child)]]
 
 
 def _tree_facts(tree: DataTree):
@@ -246,11 +251,11 @@ class TestExecutor:
         try:
             delays = [0.05, 0.0, 0.02, 0.0]
 
-            def work(index, delay):
-                time.sleep(delay)
+            def work(index):
+                time.sleep(delays[index])
                 return index
 
-            assert ex.scatter(delays, work) == [0, 1, 2, 3]
+            assert ex.scatter(range(4), work) == [0, 1, 2, 3]
         finally:
             ex.shutdown()
 
@@ -258,13 +263,13 @@ class TestExecutor:
         ex = Executor(max_workers=4)
         try:
 
-            def work(index, item):
+            def work(index):
                 if index in (1, 2):
                     raise RuntimeError(f"boom-{index}")
-                return item
+                return index
 
             with pytest.raises(RuntimeError, match="boom-1"):
-                ex.scatter(["a", "b", "c", "d"], work)
+                ex.scatter(range(4), work)
         finally:
             ex.shutdown()
 
@@ -272,7 +277,7 @@ class TestExecutor:
         ex = Executor(max_workers=2)
         try:
             with obs.capture():
-                ex.scatter([None, None, None], lambda i, _: i)
+                ex.scatter(range(3), lambda i: i)
                 shards = sorted(
                     sp.attrs["shard"]
                     for root in obs.traces()
@@ -289,7 +294,7 @@ class TestExecutor:
         try:
             with obs.capture():
                 with obs.span("fanout") as parent:
-                    ex.scatter([None, None, None], lambda i, _: i)
+                    ex.scatter(range(3), lambda i: i)
                 roots = obs.traces()
             assert [root.name for root in roots] == ["fanout"]
             assert sorted(task.attrs["shard"] for task in parent.children) == [0, 1, 2]
@@ -315,7 +320,7 @@ class TestExecutor:
                         token = set_trace_id(f"caller-{tag}-{round_}")
                         try:
                             with obs.span("fanout") as parent:
-                                ex.scatter([None] * width, lambda i, _: i)
+                                ex.scatter(range(width), lambda i: i)
                         finally:
                             reset_trace_id(token)
                         parents[(tag, round_)] = parent
@@ -329,7 +334,7 @@ class TestExecutor:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
                 # a parentless task sees only its own span on the stack
-                depths = ex.scatter([None] * width, lambda i, _: len(obs.STATE.stack))
+                depths = ex.scatter(range(width), lambda i: len(obs.STATE.stack))
             assert depths == [1] * width
             assert len(parents) == callers * rounds
             for (tag, round_), parent in parents.items():
@@ -345,14 +350,27 @@ class TestExecutor:
             ex.shutdown()
 
     def test_single_item_runs_inline_without_a_task_span(self):
-        """A one-item fan-out is timed by its caller's span: no pool hop,
-        no ``cluster.task`` span, the shard still bound."""
+        """A one-shard fan-out is timed by its caller's span: no pool hop,
+        no ``cluster.task`` span, its own shard still bound."""
         ex = Executor(max_workers=2)
         try:
             with obs.capture():
                 with obs.span("fanout") as parent:
-                    assert ex.scatter(["x"], lambda i, _: obs.current_shard()) == [0]
+                    assert ex.scatter([2], lambda i: obs.current_shard()) == [2]
             assert parent.children == []
+        finally:
+            ex.shutdown()
+
+    def test_single_shard_failure_marks_the_fanout_span(self):
+        """Inline there is no task span: the fan-out's own span carries
+        the error a captured outcome would otherwise hide."""
+        ex = Executor(max_workers=2)
+        try:
+            with obs.capture():
+                with obs.span("fanout") as parent:
+                    (outcome,) = ex.scatter_outcomes([2], lambda i: 1 // 0)
+            assert (outcome.index, outcome.ok) == (2, False)
+            assert parent.attrs["error"] == "ZeroDivisionError"
         finally:
             ex.shutdown()
 
@@ -362,7 +380,7 @@ class TestExecutor:
         try:
             token = set_trace_id("trace-thread-pin")
             try:
-                seen = ex.scatter([0, 1], lambda i, item: current_trace_id())
+                seen = ex.scatter([0, 1], lambda i: current_trace_id())
             finally:
                 reset_trace_id(token)
             assert seen == ["trace-thread-pin", "trace-thread-pin"]
@@ -846,7 +864,10 @@ class TestClusterHTTP:
         obs.enable(NullSink())
         cluster, source = demo_cluster(shards=3, products=4, tenants=6)
         server = OpsServer(
-            cluster, source=source, fault_plan=FaultPlan.parse("cluster.task.1:error")
+            cluster,
+            source=source,
+            fault_plan=FaultPlan.parse("cluster.task.1:error"),
+            recorder=FlightRecorder(head_rate=0.0),
         )
         try:
             status, body = drive_request(server, "/ask?q=q1")
@@ -856,9 +877,14 @@ class TestClusterHTTP:
             assert document["may_have_more"] is True
             assert list(document["failed_shards"]) == ["1"]
             assert "FaultInjected" in document["failed_shards"]["1"]
+            # kept for its error, not the head draw: the failed task's
+            # span is in the trace, marked
             (root,) = server.recorder.roots()
+            assert root.attrs["keep"] == "error"
             assert root.attrs["degraded"] is True
             assert "FaultInjected" in root.attrs["failed_shards"][1]
+            (failed,) = [t for t in root.find("cluster.task") if t.attrs["shard"] == 1]
+            assert failed.attrs["error"] == "FaultInjected"
             (record,) = server.request_log.recent(1)
             assert record["degraded"] is True
             assert "FaultInjected" in record["failed_shards"][1]
@@ -1185,6 +1211,53 @@ class TestClusterResilience:
             with fault_scope(plan):
                 sure, more = cluster.ask_all(query1())
             assert more and set(_tree_facts(sure)) <= healthy_facts
+        finally:
+            cluster.close()
+
+    def _shard_1_open(self):
+        """A 3-shard pool, every shard holding sessions, with shard 1's
+        breaker open: fan-outs run shards 0 and 2 only."""
+        from repro.cluster import ResiliencePolicy
+
+        cluster, _ = self._populated(
+            shards=3,
+            tenants=9,
+            resilience=ResiliencePolicy(breaker_failures=1, breaker_cooldown_s=60.0),
+        )
+        assert all(s["sessions"] for s in cluster.stats_all()["per_shard"])
+        cluster.breaker(1).record_failure()
+        assert cluster.breaker(1).state == "open"
+        return cluster
+
+    def test_fanout_tasks_carry_the_shard_they_run(self):
+        """Shard 2's task is the fan-out's second: its ``cluster.task``
+        span and every engine span under it still say shard 2."""
+        cluster = self._shard_1_open()
+        try:
+            with obs.capture():
+                with obs.span("request") as root:
+                    info = cluster.ask_all_info(query1())
+            assert list(info["failed_shards"]) == [1]
+            tasks = root.find("cluster.task")
+            assert sorted(task.attrs["shard"] for task in tasks) == [0, 2]
+            for task in tasks:
+                below = _descendants(task)
+                assert below, "no engine span under the task"
+                assert {span.attrs["shard"] for span in below} == {task.attrs["shard"]}
+        finally:
+            cluster.close()
+
+    def test_fault_site_names_the_shard_that_runs(self):
+        from repro.faults.inject import fault_scope
+
+        cluster = self._shard_1_open()
+        try:
+            with fault_scope(FaultPlan.parse("cluster.task.2:error")):
+                info = cluster.ask_all_info(query1())
+            assert sorted(info["failed_shards"]) == [1, 2]
+            assert "FaultInjected" in info["failed_shards"][2]
+            shard_0 = cluster.stats_all()["per_shard"][0]["sessions"]
+            assert info["sessions_answered"] == shard_0
         finally:
             cluster.close()
 

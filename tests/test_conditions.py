@@ -197,3 +197,31 @@ def test_sample_is_always_a_model(tree):
     cond = build_cond(tree)
     if cond.satisfiable():
         assert eval_direct(tree, cond.sample())
+
+
+@given(st.lists(cond_trees(depth=1), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_any_of_is_the_left_fold(trees):
+    """One-pass disjunction keeps the pairwise fold's denotation and text."""
+    conds = [build_cond(tree) for tree in trees]
+    fold = conds[0]
+    for cond in conds[1:]:
+        fold = fold | cond
+    fast = Cond.any_of(conds)
+    assert fast.values == fold.values
+    assert repr(fast) == repr(fold)
+    assert repr(~fast) == repr(~fold)
+
+
+def test_any_of_shows_true_and_false_prefixes_as_the_fold_does():
+    for conds in (
+        [Cond.false(), Cond.false(), Cond.eq(1)],
+        [Cond.lt(0), Cond.ge(0), Cond.eq(1)],
+        [Cond.lt(0), Cond.ge(0)],
+        [Cond.false(), Cond.false()],
+        [Cond.eq(1), Cond.ne(1), Cond.false()],
+    ):
+        fold = conds[0]
+        for cond in conds[1:]:
+            fold = fold | cond
+        assert repr(~Cond.any_of(conds)) == repr(~fold)

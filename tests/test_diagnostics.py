@@ -21,7 +21,6 @@ from repro.obs.monitor import (
     REMEDY_LINEAR,
     REMEDY_LOSSY,
 )
-from repro.obs.export import labeled_gauge_lines
 from repro.obs.profile import Profile, aggregate
 from repro.obs.registry import Counter, Histogram, Metrics
 from repro.obs.sinks import NullSink, RingBufferSink
@@ -432,7 +431,7 @@ class TestExporters:
         metrics.observe("latency.seconds", 0.25, layer="ops.request", path="/ask")
         metrics.observe("latency.seconds", 0.5, layer="ops.request", path="/slo")
         metrics.observe("latency.seconds", 1.0, layer="cluster.answer")
-        text = obs.prometheus_text(metrics, include_caches=False)
+        text = obs.prometheus_text(metrics)
         samples = obs.validate_prometheus_text(text)
         assert text.count("# TYPE repro_latency_seconds summary") == 1
         assert text.count("# TYPE ") == 3  # the summary plus _min and _max
@@ -462,12 +461,10 @@ class TestExporters:
         escaped by the exporter, they parse, and distinct values stay
         distinct samples."""
         values = [first] if first == second else [first, second]
-        lines = labeled_gauge_lines(
-            "repro_x",
-            "label round trip",
-            [{"path": value, "value": i} for i, value in enumerate(values)],
-        )
-        samples = obs.validate_prometheus_text("\n".join(lines) + "\n")
+        metrics = Metrics()
+        for i, value in enumerate(values):
+            metrics.set_gauge("x", i, path=value)
+        samples = obs.validate_prometheus_text(obs.prometheus_text(metrics))
         assert sorted(samples.values()) == list(range(len(values)))
 
     def test_prometheus_defaults_to_global_metrics(self):

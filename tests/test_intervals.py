@@ -173,3 +173,44 @@ def test_implies_is_subset(left, right):
         assert not witness.is_empty()
         assert ls.contains(witness.sample())
         assert not rs.contains(witness.sample())
+
+
+# -- near-linear normal form (Lemma 2.3) ----------------------------------------
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Count calls of ``repro.core.intervals.<name>``."""
+    import repro.core.intervals as intervals
+
+    calls = []
+    original = getattr(intervals, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(intervals, name, counted)
+    return calls
+
+
+def test_wide_disjunction_normalizes_in_one_sweep(monkeypatch):
+    """A 400-way disjunction is canonicalized once, not once per
+    disjunct (which made n(n-1)/2 merge tests)."""
+    from repro.core.parsing import parse_cond
+
+    text = " | ".join(f"= {i}" for i in range(400))
+    calls = _counting(monkeypatch, "_overlap_or_touch")
+    cond = parse_cond(text)
+    assert len(calls) < 800
+    assert len(cond.values.numbers.intervals) == 400
+
+
+def test_implies_walks_both_lists_once(monkeypatch):
+    evens = IntervalSet([point(F(2 * i)) for i in range(400)])
+    odds = IntervalSet([point(F(2 * i + 1)) for i in range(400)])
+    calls = _counting(monkeypatch, "_intersect")
+    assert not evens.implies(odds)
+    assert len(calls) < 1600
+    calls.clear()
+    assert evens.implies(evens)
+    assert len(calls) < 1600

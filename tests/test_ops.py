@@ -139,7 +139,6 @@ class TestTraceContext:
             assert handle.root is None
             assert handle.trace_id
             handle.annotate(status=200)  # tolerated no-op
-        assert not handle.errored
 
     def test_errored_detection_walks_the_tree(self):
         obs.enable(obs.RingBufferSink())
@@ -147,7 +146,8 @@ class TestTraceContext:
             with pytest.raises(RuntimeError):
                 with obs.span("child"):
                     raise RuntimeError("boom")
-        assert handle.errored
+        # a 200 with an errored child span is kept as an error
+        assert FlightRecorder(head_rate=0.0).offer(handle, 200, 0.001) == "error"
         assert handle.root.children[0].attrs["error"] == "RuntimeError"
 
     def test_thread_span_does_not_adopt_foreign_parent(self):
@@ -388,6 +388,12 @@ class TestOpsServer:
         document = json.loads(body)
         assert document["roots"] >= 1
         assert any(name.startswith("ops.request") for name in document["by_name"])
+        # the profile covers exactly the traces the flight recorder holds
+        srv = _demo_server(recorder=FlightRecorder(capacity=8))
+        for _ in range(40):
+            assert drive_request(srv, "/ask?q=q1")[0] == 200
+        _, body = drive_request(srv, "/profile")
+        assert json.loads(body)["roots"] == len(srv.recorder.roots()) == 8
 
     def test_flightrecorder_dump_validates(self, server):
         _get(server.url + "/ask?q=q1")
@@ -601,23 +607,115 @@ class TestPrometheusCacheSeries:
             history = [(query1(), query1().evaluate(doc))]
             refine_sequence(CATALOG_ALPHABET, history)
             refine_sequence(CATALOG_ALPHABET, history)  # repeat -> cache hits
-        text = obs.prometheus_text()
+        text = obs.prometheus_text(obs.metrics, perf.cache_metrics())
         samples = validate_prometheus_text(text)  # raises on duplicates
         assert samples["repro_cache_refine_hits_total"] >= 1
         assert "repro_cache_refine_misses_total" in samples
         assert "repro_cache_refine_size" in samples
 
-    def test_include_caches_false_restores_old_shape(self):
-        obs.STATE.metrics.inc("some.counter")
-        text = obs.prometheus_text(include_caches=False)
-        samples = validate_prometheus_text(text)
-        assert not any(n.startswith("repro_cache_") for n in samples)
-        assert samples["repro_some_counter_total"] == 1.0
-
     def test_gauges_are_exported(self):
         obs.STATE.metrics.set_gauge("ops.demo_gauge", 12.5)
         samples = validate_prometheus_text(obs.prometheus_text())
         assert samples["repro_ops_demo_gauge"] == 12.5
+
+
+# -- one exposition path ---------------------------------------------------------
+
+#: The seven perf memo tables, named here so a renamed table shows.
+_CACHE_TABLES = (
+    "emptiness",
+    "normalize",
+    "matching",
+    "type_intersect",
+    "refine",
+    "minimize",
+    "query_incomplete",
+)
+
+
+def _families(text: str) -> dict:
+    """``{family: kind}`` off the ``# TYPE`` lines of an exposition."""
+    return {
+        line.split()[2]: line.split()[3]
+        for line in text.splitlines()
+        if line.startswith("# TYPE ")
+    }
+
+
+class TestScrapeRegistry:
+    def test_scrape_shows_only_its_own_shards(self):
+        """A scrape's books live in its own registry: a 1-shard server
+        scraped after a 4-shard one in the same process shows no series
+        of the other pool's shards."""
+        obs.enable(obs.NullSink())
+        wide, source = demo_cluster(shards=4, products=3, tenants=4)
+        narrow, narrow_source = demo_cluster(shards=1, products=3)
+        try:
+            status, body = drive_request(OpsServer(wide, source=source), "/metrics")
+            assert status == 200
+            assert "repro_shard_3_shed" in validate_prometheus_text(body)
+            status, body = drive_request(
+                OpsServer(narrow, source=narrow_source), "/metrics"
+            )
+            samples = validate_prometheus_text(body)
+            shards = {n.split("_")[2] for n in samples if n.startswith("repro_shard_")}
+            assert shards == {"0"}
+            assert samples["repro_cluster_shards"] == 1
+        finally:
+            wide.close()
+            narrow.close()
+
+    def test_scrape_writes_no_gauges_into_the_process_book(self):
+        obs.enable(obs.NullSink())
+        srv = _demo_server()
+        assert drive_request(srv, "/ask?q=q1")[0] == 200
+        assert drive_request(srv, "/metrics")[0] == 200
+        assert obs.metrics.gauges() == {}
+        assert obs.metrics.value("ops.http.requests") >= 1  # events stay
+
+    def test_scrape_families_keep_their_names_and_kinds(self):
+        """The families the served benchmark and operators read, by name
+        and kind, on a 4-shard server with exemplars and SLO books."""
+        obs.enable(obs.NullSink())
+        cluster, source = demo_cluster(shards=4, products=3, tenants=4)
+        srv = OpsServer(cluster, source=source)
+        try:
+            assert drive_request(srv, "/ask?q=q1&session=demo")[0] == 200
+            assert drive_request(srv, "/ask?q=q1")[0] == 200
+            assert drive_request(srv, "/debug/error")[0] == 500
+            _, body = drive_request(srv, "/metrics")
+        finally:
+            cluster.close()
+        validate_prometheus_text(body)
+        expected = {"repro_cache_enabled": "gauge"}
+        for table in _CACHE_TABLES:
+            for book in ("hits", "misses", "evictions"):
+                expected[f"repro_cache_{table}_{book}_total"] = "counter"
+            expected[f"repro_cache_{table}_size"] = "gauge"
+        for shard in range(4):
+            for book in (
+                "sessions",
+                "knowledge_size",
+                "queries_recorded",
+                "in_flight",
+                "admitted",
+                "shed",
+            ):
+                expected[f"repro_shard_{shard}_{book}"] = "gauge"
+        for book in ("shards", "sessions", "knowledge_size"):
+            expected[f"repro_cluster_{book}"] = "gauge"
+        expected.update(
+            {
+                "repro_ops_uptime_seconds": "gauge",
+                "repro_http_exemplar_seconds": "gauge",
+                "repro_trace_sampler_kept_total": "counter",
+                "repro_trace_sampler_dropped_total": "counter",
+                "repro_slo_alerts_total": "counter",
+                "repro_slo_burning": "gauge",
+            }
+        )
+        families = _families(body)
+        assert {name: families.get(name) for name in expected} == expected
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -746,6 +844,11 @@ class TestAlwaysOnTelemetry:
         _, body = drive_request(srv, "/metrics")
         assert "repro_http_exemplar_seconds" not in body
         assert "repro_trace_sampler_kept_total 4" in body  # 3 asks, /slo
+        # the pool rollup is read per scrape, spans or not
+        samples = validate_prometheus_text(body)
+        assert samples["repro_cluster_shards"] == 1
+        assert samples["repro_shard_0_sessions"] == 1
+        assert "repro_ops_uptime_seconds" in samples
 
     def test_client_paths_do_not_reach_metric_names(self, server):
         """Paths that sanitize to one metric name, or carry ``}``, leave

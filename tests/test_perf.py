@@ -147,12 +147,14 @@ class TestWebhouseRecordMany:
     def test_duplicates_merged_before_refine(self):
         history = self._history()
         wh = Webhouse(CATALOG_ALPHABET)
-        wh.record_many(history + [history[0]])  # one duplicate pair
+        obs.reset()
+        with obs.capture():
+            wh.record_many(history + [history[0]])  # one duplicate pair
         # history keeps the raw input stream, duplicates included
         assert len(wh.history) == 3
-        counters = wh.metrics.counters()
-        assert counters["webhouse.records"] == 3
-        assert counters["webhouse.batches"] == 1
+        assert obs.metrics.value("webhouse.records") == 3
+        assert obs.metrics.value("webhouse.batches") == 1
+        obs.reset()
 
     def test_empty_batch_is_a_noop(self):
         wh = Webhouse(CATALOG_ALPHABET)
