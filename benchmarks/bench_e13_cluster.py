@@ -7,15 +7,15 @@ facts into ONE representation, so every local answer pays the
 full-corpus knowledge cost (Refine products grow with each distinct
 recorded query); the sharded pool keeps one small engine per session,
 so each answer pays only that session's cost — and shards serve reads
-concurrently behind per-shard readers-writer locks.
+concurrently, with no lock.
 
 The benchmark runs the same fleet workload twice over HTTP:
 
 * **mono** — an ``OpsServer`` over a one-shard pool whose one session
   holds the *deduplicated* union of every tenant's queries (the merged
   engine's best case: no duplicate refinement), hammered by N client
-  threads with ``/ask?q=...&session=mono`` requests — the same routed,
-  one-lock read the cluster side takes, so the comparison measures
+  threads with ``/ask?q=...&session=mono`` requests — the same routed
+  read the cluster side takes, so the comparison measures
   knowledge locality alone;
 * **cluster** — an ``OpsServer`` over a 4-shard pool with 16 tenant
   sessions (2 queries each), the same N threads asking each tenant's

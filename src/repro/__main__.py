@@ -470,11 +470,13 @@ def _slo_cmd(args: list[str]) -> int:
         slo=SloEngine(objectives) if objectives else None,
     )
     queries = ("q1", "q2", "q3", "q4")
+    kept, obs.STATE.max_traces = obs.STATE.max_traces, 0  # the recorder keeps traces
     for index in range(requests):
         drive_request(server, f"/ask?q={queries[index % len(queries)]}")
     for _ in range(errors):
         drive_request(server, "/debug/error")
     status, body = drive_request(server, "/slo")
+    obs.STATE.max_traces = kept
     print(body, end="")
     return 0 if status == 200 else 1
 
@@ -729,6 +731,8 @@ def _serve_cmd(args: list[str]) -> int:
         degrade_on_burn=degrade_on_burn,
         fault_plan=fault_plan,
     )
+    # the flight recorder holds the traces: none go to the obs.traces() ring
+    kept, obs.STATE.max_traces = obs.STATE.max_traces, 0
     try:
         if once:
             server.start()
@@ -755,6 +759,7 @@ def _serve_cmd(args: list[str]) -> int:
         server.serve_forever()
         return 0
     finally:
+        obs.STATE.max_traces = kept
         cluster.close()
 
 

@@ -14,16 +14,16 @@ repo, with every shard in this interpreter:
   ``stats``, ``apply_remedy``): journal resume at start, exactly-once
   dedupe of a re-sent pair, and rebuild-from-journal when a write
   fails.
-* :class:`~repro.cluster.locks.RWLock` — the writer-preferring
-  readers-writer lock each shard holds beside its host: reads shared,
-  writes exclusive.
+* :class:`~repro.cluster.locks.RWLock` — the lock each shard's writes
+  serialize on; reads take none, since every engine publishes its
+  knowledge as one immutable value.
 * :class:`~repro.cluster.ring.Router` — consistent-hash routing of
   session keys onto shard indices; stable across processes (BLAKE2b,
   not ``hash()``) and cheap to resize (~1/(n+1) keys move).
 * :class:`~repro.cluster.admission.AdmissionController` — bounded
-  per-shard in-flight budgets with ``shed`` / ``wait`` backpressure;
-  overload raises :class:`~repro.cluster.admission.ShardOverloaded`
-  (HTTP 503 at the ops plane).
+  per-shard in-flight budgets; overload sheds with
+  :class:`~repro.cluster.admission.ShardOverloaded` (HTTP 503 at the
+  ops plane).
 * :class:`~repro.cluster.executor.Executor` — thread-pool scatter-
   gather with deterministic (item-order) gathering and the shard index
   bound to the observability context.
@@ -33,7 +33,7 @@ repo, with every shard in this interpreter:
   ``record``/``ask``/``answer`` plus fleet-wide ``ask_all`` /
   ``stats_all`` / ``apply_remedy`` whose certain-answer union is
   invariant under the shard count.  It calls each host's methods
-  directly under that shard's lock.
+  directly, writes under that shard's lock.
 
 See ``docs/CLUSTER.md`` for routing, rebalancing, admission control,
 and failure modes; ``repro serve --shards N`` puts the pool behind the
@@ -42,7 +42,7 @@ HTTP ops plane.
 
 from __future__ import annotations
 
-from .admission import AdmissionController, POLICIES, ShardOverloaded
+from .admission import AdmissionController, ShardOverloaded
 from .executor import Executor, TaskOutcome
 from .host import RETRYABLE_ERRORS, ShardHost
 from .locks import RWLock
@@ -53,7 +53,6 @@ __all__ = [
     "AdmissionController",
     "DEFAULT_REPLICAS",
     "Executor",
-    "POLICIES",
     "RETRYABLE_ERRORS",
     "ResiliencePolicy",
     "RWLock",

@@ -1,6 +1,6 @@
 """Scatter-gather execution of per-shard work on a thread pool.
 
-Fleet-wide operations (``ask_all``, ``stats_all``, remedies) fan one
+Fleet-wide operations (``ask_all``, remedies) fan one
 callable out over shard indices — every shard, or those whose breaker
 admits them — and gather the results **in that order**: the merge
 order is part of the cluster's determinism contract.

@@ -8,11 +8,11 @@ each session lives at ``<root>/<key>/`` whichever shard its key routes
 to, so routing stays an in-memory decision.
 :class:`ShardHost` owns that world and is the single body of
 ``record``, ``ask``, ``answer``, ``answer_all``, ``keys``, ``stats``
-and ``apply_remedy``.  It works on live paper objects and knows
-nothing of locks or retries: :class:`~repro.cluster.sharded.Shard`
-holds it beside its :class:`~repro.cluster.locks.RWLock`, and
-:class:`~repro.cluster.sharded.ShardedWebhouse` calls its methods
-directly under that lock.
+and ``apply_remedy``.  It knows nothing of locks or retries: the
+caller serializes its writes (:class:`~repro.cluster.sharded.Shard`
+does, on its lock), and its reads need no lock, because each engine
+publishes its knowledge as one immutable value and the engine map is
+replaced, never mutated.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..core.tree import DataTree
 from ..core.treetype import TreeType
 from ..faults.inject import FaultInjected
 from ..mediator.source import InMemorySource
-from ..mediator.webhouse import Webhouse
+from ..mediator.webhouse import Knowledge, Webhouse
 from ..obs.state import STATE as _OBS
 from ..store.journal import JournalError
 from ..store.session import StoreError
@@ -62,7 +62,7 @@ class ShardHost:
         self._factory = factory
         #: extra meta stamped on every durable session this host creates
         self.session_extra = session_extra
-        #: session key -> its engine
+        #: session key -> its engine; replaced whole on every change
         self.engines: Dict[str, Webhouse] = {}
 
     # -- engines -----------------------------------------------------------------
@@ -70,8 +70,7 @@ class ShardHost:
     def resume(self, key: str) -> Webhouse:
         """Reopen ``key``'s journaled session on this shard."""
         engine = Webhouse.resume(self.store, key)
-        engine.prepare()
-        self.engines[key] = engine
+        self.engines = {**self.engines, key: engine}
         return engine
 
     def _create(self, key: str) -> Webhouse:
@@ -93,7 +92,7 @@ class ShardHost:
                 extra=self.session_extra,
             )
             engine.attach(session)
-        self.engines[key] = engine
+        self.engines = {**self.engines, key: engine}
         if _OBS.enabled:
             _OBS.metrics.inc("cluster.sessions_created")
         return engine
@@ -101,12 +100,13 @@ class ShardHost:
     def _write(self, key: str, change: Callable[[Webhouse], object]) -> object:
         """Run ``change`` on ``key``'s engine, creating it on first write.
 
-        A store failure mid-write can leave an engine's memory ahead of
-        its journal, or its journal handle closed.  Disk is then the
-        only trustworthy copy, so the engine is rebuilt by snapshot +
-        replay — the Theorem 3.5 path a restart takes — *before* the
-        error leaves the host, and the caller's retry sees the rebuilt
-        engine.  Without a store, memory is the state and stays.
+        A store failure mid-write can leave an engine's journal ahead of
+        its memory (an append that failed after it persisted), or its
+        journal handle closed.  Disk is then the only trustworthy copy,
+        so the engine is rebuilt by snapshot + replay — the Theorem 3.5
+        path a restart takes — *before* the error leaves the host, and
+        the caller's retry sees the rebuilt engine.  Without a store,
+        memory is the state and stays.
         """
         try:
             engine = self.engines.get(key)
@@ -117,17 +117,17 @@ class ShardHost:
             if self.store is not None and self.store.exists(key):
                 # dropped first: a failed resume must not leave the
                 # wedged engine serving
-                self.engines.pop(key, None)
+                self.engines = {k: e for k, e in self.engines.items() if k != key}
                 self.resume(key)
                 if _OBS.enabled:
                     _OBS.metrics.inc("cluster.engine_revivals")
             raise
 
-    def _books(self, engine: Webhouse) -> Dict[str, object]:
+    def _books(self, value: Knowledge) -> Dict[str, object]:
         return {
             "shard": self.index,
-            "knowledge_size": engine.size(),
-            "queries_recorded": len(engine.history),
+            "knowledge_size": value.size(),
+            "queries_recorded": len(value.history),
         }
 
     # -- ops ----------------------------------------------------------------------
@@ -142,7 +142,6 @@ class ShardHost:
         history = engine.history
         if not history or history[-1] != (query, answer):
             engine.record(query, answer, **origin)
-        engine.prepare()
 
     def record(self, key: str, query: PSQuery, answer: DataTree) -> None:
         """Refine ``key``'s knowledge with one pair, exactly once."""
@@ -155,7 +154,7 @@ class ShardHost:
         def change(engine: Webhouse) -> Dict[str, object]:
             answer = source.ask(query)
             self._fold(engine, query, answer, _origin="ask")
-            return {"answer": answer, **self._books(engine)}
+            return {"answer": answer, **self._books(engine.value)}
 
         return self._write(key, change)
 
@@ -175,8 +174,9 @@ class ShardHost:
                 "knowledge_size": 0,
                 "queries_recorded": 0,
             }
+        books = self._books(engine.value)
         sure, more = engine.answer_with_caveats(query)
-        return {"sure": sure, "may_have_more": more, **self._books(engine)}
+        return {"sure": sure, "may_have_more": more, **books}
 
     def answer_all(self, query: PSQuery) -> List[Tuple[str, DataTree, bool, int]]:
         """``(key, sure, may_have_more, knowledge_size)`` for every
@@ -192,18 +192,19 @@ class ShardHost:
 
     def stats(self) -> Dict[str, object]:
         """Session count and keys plus history and knowledge totals."""
-        engines = self.engines.values()
+        engines = self.engines
+        values = [engine.value for engine in engines.values()]
         return {
             "shard": self.index,
-            "sessions": len(self.engines),
-            "session_keys": self.keys(),
-            "queries_recorded": sum(len(engine.history) for engine in engines),
-            "knowledge_size": sum(engine.size() for engine in engines),
+            "sessions": len(engines),
+            "session_keys": sorted(engines),
+            "queries_recorded": sum(len(value.history) for value in values),
+            "knowledge_size": sum(value.size() for value in values),
         }
 
     def apply_remedy(self, remedy: str) -> None:
         """Apply one of the paper's growth remedies to every session."""
-        for key in list(self.engines):
+        for key in self.engines:
             self._write(key, lambda engine: engine.apply_remedy(remedy))
 
     def close(self) -> None:

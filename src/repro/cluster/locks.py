@@ -1,21 +1,12 @@
-"""A readers-writer lock for per-shard engine access.
+"""A readers-writer lock; each shard's writes serialize on its write side.
 
-The cluster's locking discipline (docs/CLUSTER.md):
+Reads take no lock: an engine publishes its knowledge as one immutable
+value after its journal append, and a read answers from whichever value
+it took (docs/CLUSTER.md).  The read side stays only because
+``benchmarks/e2e/traced_serve.py`` patches ``RWLock.acquire_read`` by
+name.
 
-* **read** — local answering (``answer_with_caveats``, ``stats``,
-  certain-prefix checks): any number of concurrent readers.  These
-  paths never change the represented set; the only mutation they can
-  trigger is the lazy ``Webhouse.knowledge`` materialization, which is
-  idempotent (two racing readers compute the same value and the second
-  assignment is a no-op in effect) — see :meth:`Webhouse.prepare`,
-  which the cluster calls under the write lock after every mutation
-  precisely so read paths normally find the cache warm.
-* **write** — ``record`` / ``ask`` / remedies / session creation:
-  exclusive.
-
-Writer-preferring: a waiting writer blocks new readers, so a stream of
-cheap reads cannot starve ingestion.  Not reentrant — neither the
-server handlers nor the cluster nest acquisitions.
+Writer-preferring: a waiting writer blocks new readers.  Not reentrant.
 """
 
 from __future__ import annotations

@@ -41,11 +41,11 @@ meta of every session the pool creates (``serve --session`` stamps the
 served catalog's workload hint, :meth:`Webhouse.source_hint`).
 
 Every shard op has one implementation, in
-:class:`~repro.cluster.host.ShardHost`.  Each :class:`Shard` holds its
-host beside a readers-writer lock, and the pool calls host methods
-directly under it: ``record``, ``ask`` and ``apply_remedy`` exclusive,
-``answer``, ``answer_all``, ``keys`` and ``stats`` shared.  Every shard
-lives in this interpreter, so Refine and answering work share one GIL;
+:class:`~repro.cluster.host.ShardHost`, and the pool calls host methods
+directly: writes (``record``, ``ask``, ``apply_remedy``) under their
+:class:`Shard`'s lock, reads (``answer``, ``answer_all``, ``keys``,
+``stats``) with none, answering from each engine's published value.
+Every shard lives in this interpreter, so Refine and answering share one GIL;
 ``docs/PERFORMANCE.md`` records why no process boundary is drawn.
 
 Each op's ``cluster.<op>`` span is its only latency book, in the
@@ -123,7 +123,7 @@ def cluster_latency() -> Dict[str, Dict[str, object]]:
 
 
 class Shard:
-    """One shard: its host and lock, and its breaker."""
+    """One shard: its host, its writes' lock, and its breaker."""
 
     __slots__ = ("index", "host", "lock", "breaker")
 
@@ -133,13 +133,9 @@ class Shard:
         self.lock = RWLock()
         self.breaker = breaker
 
-    def run(self, call: Callable[[ShardHost], T], *, write: bool = False) -> T:
-        """``call(host)`` under the shard lock: writes exclusive, reads
-        shared."""
-        if write:
-            with self.lock.write_locked():
-                return call(self.host)
-        with self.lock.read_locked():
+    def run(self, call: Callable[[ShardHost], T]) -> T:
+        """``call(host)``, a write, under the shard's write lock."""
+        with self.lock.write_locked():
             return call(self.host)
 
     def __repr__(self) -> str:
@@ -226,7 +222,8 @@ class ShardedWebhouse:
     ) -> T:
         """Route one keyed op: admission, span, breaker + retry.
 
-        Every keyed op — read or write — takes the same path.  Only
+        Every keyed op — read or write — takes the same path; a write
+        runs under the shard's lock, a read with none.  Only
         :data:`RETRYABLE_ERRORS` are retried or counted against the
         breaker; admission shedding and validation errors pass straight
         through.  A retry needs no revival step here: the host rebuilds
@@ -245,7 +242,7 @@ class ShardedWebhouse:
                         raise CircuitOpen(breaker.name, breaker.cooldown_s)
                     try:
                         value = self.resilience.retry.call(
-                            lambda: shard.run(call, write=write),
+                            lambda: shard.run(call) if write else call(shard.host),
                             retry_on=RETRYABLE_ERRORS,
                         )
                     except RETRYABLE_ERRORS:
@@ -281,8 +278,8 @@ class ShardedWebhouse:
 
         The HTTP ``/ask`` path needs the caveated answer *and* the
         session's knowledge size and history length for its response
-        body; fetching them separately would take the shard's read lock
-        (and an admission slot) twice per request.  Returns a dict with
+        body; fetching them separately would take an admission slot
+        twice per request.  Returns a dict with
         ``sure``, ``may_have_more``, ``shard``, ``knowledge_size``,
         ``queries_recorded``.
         """
@@ -298,9 +295,8 @@ class ShardedWebhouse:
         )
 
     def engine(self, key: str) -> Optional[Webhouse]:
-        """The engine behind ``key``, if the session exists (read lock)."""
-        shard = self._shards[self.shard_of(key)]
-        return shard.run(lambda host: host.engines.get(key))
+        """The engine behind ``key``, if the session exists."""
+        return self._shards[self.shard_of(key)].host.engines.get(key)
 
     # -- fleet operations -------------------------------------------------------
 
@@ -308,7 +304,7 @@ class ShardedWebhouse:
         """Fleet-wide certain answer: scatter, gather, deterministic union.
 
         Every shard evaluates the query against each of its sessions
-        (shards run in parallel, each under its read discipline); the
+        (shards run in parallel, with no lock); the
         per-session sure parts are then merged in globally sorted key
         order with :func:`overlay`.  Returns ``(union, may_have_more)``
         where the flag is True when *any* session's knowledge might
@@ -353,7 +349,7 @@ class ShardedWebhouse:
                 with self.admission.admit(index):
                     if deadline is not None:
                         deadline.require(f"shard {index} answer_all")
-                    return self._shards[index].run(lambda host: host.answer_all(query))
+                    return self._shards[index].host.answer_all(query)
 
             outcomes = self.executor.scatter_outcomes(live, per_shard, deadline=deadline)
             rows: List[Tuple[str, DataTree, bool, int]] = []
@@ -391,7 +387,7 @@ class ShardedWebhouse:
         """Apply one of the paper's growth remedies to every session.
 
         The SLO degrade hook's cluster path.  Each shard applies it to
-        its own engines under its write discipline; every
+        its own engines under its write lock; every
         representation shrinks independently (Theorem 3.5 keeps the
         sessions' knowledge separate).
         """
@@ -399,7 +395,7 @@ class ShardedWebhouse:
             self.executor.scatter(
                 range(len(self._shards)),
                 lambda index: self._shards[index].run(
-                    lambda host: host.apply_remedy(remedy), write=True
+                    lambda host: host.apply_remedy(remedy)
                 ),
             )
 
@@ -407,31 +403,13 @@ class ShardedWebhouse:
         """Fleet rollup: per-shard session books, admission and breaker
         stats.  Latency per cluster op is :func:`cluster_latency`'s to
         read, so a caller that wants only the books does not pay for
-        the summaries.
-
-        A shard that cannot answer degrades the rollup (zero books plus
-        an ``error``), never fails it.
+        the summaries.  Each shard's books are a lock-free read of its
+        engines' published values, so the rollup needs no fan-out.
         """
         with _span("cluster.stats_all", shards=len(self._shards)):
-            outcomes = self.executor.scatter_outcomes(
-                range(len(self._shards)),
-                lambda index: self._shards[index].run(ShardHost.stats),
-            )
-            admission = self.admission.stats()
             per_shard_stats: List[Dict[str, object]] = []
-            for shard, outcome, gate in zip(self._shards, outcomes, admission):
-                if outcome.ok:
-                    stats = outcome.value
-                else:
-                    error = outcome.error
-                    stats = {
-                        "shard": shard.index,
-                        "sessions": 0,
-                        "session_keys": [],
-                        "queries_recorded": 0,
-                        "knowledge_size": 0,
-                        "error": f"{type(error).__name__}: {error}",
-                    }
+            for shard, gate in zip(self._shards, self.admission.stats()):
+                stats = shard.host.stats()
                 stats["admission"] = {
                     name: count for name, count in gate.items() if name != "shard"
                 }
@@ -451,18 +429,14 @@ class ShardedWebhouse:
 
     def sessions(self) -> List[str]:
         """All session keys, sorted."""
-        return sorted(
-            key for shard in self._shards for key in shard.run(ShardHost.keys)
-        )
+        return sorted(key for shard in self._shards for key in shard.host.keys())
 
     def size(self) -> int:
         """Total maintained knowledge size across every session."""
-        return sum(
-            shard.run(ShardHost.stats)["knowledge_size"] for shard in self._shards
-        )
+        return sum(shard.host.stats()["knowledge_size"] for shard in self._shards)
 
     def __len__(self) -> int:
-        return sum(shard.run(lambda host: len(host.engines)) for shard in self._shards)
+        return sum(len(shard.host.engines) for shard in self._shards)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -474,8 +448,8 @@ class ShardedWebhouse:
         the new cluster and the keys that changed shard (the rebalance
         cost a deployment would pay in session migrations).  The
         resilience policy, the ``session_extra`` stamp and the admission
-        settings carry over, the admission budget onto a controller
-        sized for ``shards``.
+        budget carry over, the budget onto a controller sized for
+        ``shards``.
         Engines and the store are handed over, not copied: the new
         pool journals to the same flat root without reopening any
         session, and this pool is left empty and in-memory.
@@ -486,7 +460,6 @@ class ShardedWebhouse:
                 engines.append(shard.host.engines)
                 shard.host.engines, shard.host.store = {}, None
         store, self.store = self.store, None
-        admission = self.admission
         new = ShardedWebhouse(
             self._alphabet,
             tree_type=self._tree_type,
@@ -496,38 +469,33 @@ class ShardedWebhouse:
             factory=self._factory,
             router=self.router.resized(shards),
             admission=AdmissionController(
-                shards,
-                max_in_flight=admission.max_in_flight,
-                policy=admission.policy,
-                wait_timeout_s=admission.wait_timeout_s,
+                shards, max_in_flight=self.admission.max_in_flight
             ),
             resilience=self.resilience,
             session_extra=self._session_extra,
         )
+        routed: List[Dict[str, Webhouse]] = [{} for _ in range(shards)]
         moved: List[str] = []
         for index, shard_engines in enumerate(engines):
             for key, engine in shard_engines.items():
                 target = new.router.route(key)
-                new._shards[target].host.engines[key] = engine
+                routed[target][key] = engine
                 if target != index:
                     moved.append(key)
         new.store = store
-        for shard in new._shards:
-            shard.host.store = store
+        for shard, shard_engines in zip(new._shards, routed):
+            shard.host.engines, shard.host.store = shard_engines, store
         return new, sorted(moved)
 
     def close(self) -> None:
         """Detach durable sessions and stop the executor (if owned)."""
         for shard in self._shards:
-            shard.run(ShardHost.close, write=True)
+            shard.run(ShardHost.close)
         if self._owns_executor:
             self.executor.shutdown()
 
     def __repr__(self) -> str:
-        return (
-            f"ShardedWebhouse(shards={len(self._shards)}, "
-            f"sessions={len(self)}, policy={self.admission.policy!r})"
-        )
+        return f"ShardedWebhouse(shards={len(self._shards)}, sessions={len(self)})"
 
 
 __all__ = [

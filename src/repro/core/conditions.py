@@ -84,6 +84,11 @@ class ValueSet:
             StringSet.union_of(s.strings for s in sets),
         )
 
+    @staticmethod
+    def intersection_of(sets: Sequence["ValueSet"]) -> "ValueSet":
+        """The complement of the union of the complements: one sweep."""
+        return ValueSet.union_of([s.complement() for s in sets]).complement()
+
     def union(self, other: "ValueSet") -> "ValueSet":
         return ValueSet(self.numbers.union(other.numbers), self.strings.union(other.strings))
 
@@ -243,22 +248,34 @@ class Cond:
 
     @staticmethod
     def any_of(conds: Sequence["Cond"]) -> "Cond":
-        """``conds[0] | conds[1] | ...`` with the union normalized once.
+        """``conds[0] | conds[1] | ...`` with the union normalized once."""
+        return Cond._fold(conds, "or", ValueSet.union_of, "false", "true")
 
-        The text is the left fold's, which shows a prefix as ``true`` /
-        ``false`` once its union is all / empty.  Unions only grow, so
-        only the last prefix can be all, and the empty ones lead.
-        """
+    @staticmethod
+    def all_of(conds: Sequence["Cond"]) -> "Cond":
+        """``conds[0] & conds[1] & ...`` with the intersection normalized
+        once."""
+        return Cond._fold(conds, "and", ValueSet.intersection_of, "true", "false")
+
+    @staticmethod
+    def _fold(conds, word, combine, neutral: str, absorbing: str) -> "Cond":
+        """The left fold of ``conds`` under ``word``, normalized once by
+        ``combine``, with the fold's text: a prefix shows as ``true`` /
+        ``false`` once all / empty.  ``neutral`` prefixes lead, and once
+        one is ``absorbing`` every later one is: only the last shows."""
         if len(conds) == 1:
             return conds[0]
-        values = ValueSet.union_of([c._values for c in conds])
+        shows = {"true": ValueSet.is_all, "false": ValueSet.is_empty}
+        values = combine([c._values for c in conds])
         last = len(conds) - 1
-        if values.is_all() and ValueSet.union_of([c._values for c in conds[:last]]).is_all():
-            start, head = last, "true"
+        absorbed = shows[absorbing]
+        if absorbed(values) and absorbed(combine([c._values for c in conds[:last]])):
+            start, head = last, absorbing
         else:
-            lead = next((i for i, c in enumerate(conds) if c.satisfiable()), len(conds))
-            start, head = (min(lead, last), "false") if lead else (1, repr(conds[0]))
-        tail = "".join(f" or {c!r})" for c in conds[start:])
+            plain = shows[neutral]
+            lead = next((i for i, c in enumerate(conds) if not plain(c._values)), len(conds))
+            start, head = (min(lead, last), neutral) if lead else (1, repr(conds[0]))
+        tail = "".join(f" {word} {c!r})" for c in conds[start:])
         return Cond(values, "(" * (len(conds) - start) + head + tail)
 
     # -- combinators -------------------------------------------------------------

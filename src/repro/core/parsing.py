@@ -111,11 +111,11 @@ class _CondParser:
         return Cond.any_of(disjuncts)
 
     def parse_and(self) -> Cond:
-        left = self.parse_unary()
+        conjuncts = [self.parse_unary()]
         while self.peek() is not None and self.peek()[0] == "and":
             self.take()
-            left = left & self.parse_unary()
-        return left
+            conjuncts.append(self.parse_unary())
+        return Cond.all_of(conjuncts)
 
     def parse_unary(self) -> Cond:
         token = self.peek()

@@ -3,14 +3,15 @@
 One :func:`run_chaos_cycle` call drives a durable
 :class:`~repro.mediator.webhouse.Webhouse` session through a random
 workload while a seeded :class:`~repro.faults.plan.FaultPlan` tears
-journal writes, fails fsyncs, and corrupts snapshots underneath it.
-After every simulated crash the session is resumed and checked against
-the paper's Theorem 3.5: replaying the recovered history from scratch
-must land on knowledge ``incomplete_equivalent`` to what recovery
-produced, and the recovered history itself must be exactly the
-acknowledged pairs (plus at most the one in-flight pair a torn write
-may or may not have persisted — durability is only promised once
-``record`` returns).
+journal writes, fails fsyncs, and corrupts snapshots underneath it; a
+third of the cycles go conjunctive (Corollary 3.9) part-way.  After
+every simulated crash the session is resumed and checked against the
+paper's Theorem 3.5: replaying the recovered history from scratch must
+land on knowledge ``incomplete_equivalent`` to what recovery produced,
+and the recovered history itself must be exactly the acknowledged
+pairs (plus at most the one in-flight pair a torn write may or may not
+have persisted — durability is only promised once ``record`` returns).
+The observed document must stay a possible world of it (Theorem 3.4).
 
 Everything is derived from one int seed, so a failing cycle is
 reproducible from the one-line spec in its :class:`ChaosResult`
@@ -30,6 +31,7 @@ from ..core.tree import DataTree
 from ..core.treetype import TreeType
 from ..incomplete.certainty import incomplete_equivalent
 from ..mediator.webhouse import Webhouse
+from ..obs.monitor import REMEDY_CONJUNCTIVE
 from ..refine.refine import refine_sequence
 from ..store import codec as _codec
 from ..store.journal import JournalError
@@ -151,6 +153,7 @@ def _check_recovery(
     pending: Optional[Tuple[PSQuery, DataTree]],
     alphabet: Sequence[str],
     tree_type: TreeType,
+    document: DataTree,
     where: str,
     result: ChaosResult,
 ) -> bool:
@@ -162,6 +165,7 @@ def _check_recovery(
     2. The recovered knowledge is ``incomplete_equivalent`` to a
        fault-free replay of that history (Theorem 3.5: snapshot +
        suffix replay vs. pure replay agree semantically).
+    3. The observed document is in its rep set (Theorem 3.4 soundness).
     """
     result.checks += 1
     recovered = [_pair_json(pair) for pair in webhouse.history]
@@ -182,6 +186,9 @@ def _check_recovery(
             f"fault-free replay of its own {len(recovered)}-pair history "
             "(Theorem 3.5 violated)"
         )
+        return False
+    if not webhouse.knowledge.contains(document):
+        result.violations.append(f"{where}: document not in rep (Theorem 3.4 violated)")
         return False
     return len(recovered) == len(with_pending) and pending is not None
 
@@ -205,6 +212,8 @@ def run_chaos_cycle(
     alphabet = sorted(tree_type.alphabet)
     document = random_tree(tree_type, seed=rng, max_depth=4)
     pairs = random_history(tree_type, document, ops, seed=rng, max_depth=3)
+    remedy = random.Random(f"chaos-remedy|{seed}")  # leaves ``rng``'s draws as they were
+    conjunctive_at = remedy.randrange(len(pairs)) if remedy.random() < 1 / 3 else None
     if plan is None:
         plan = chaos_schedule(seed)
     plan.reset()
@@ -230,7 +239,7 @@ def run_chaos_cycle(
         webhouse = Webhouse.resume(store, name)
         result.recoveries += 1
         return _check_recovery(
-            webhouse, acknowledged, pending, alphabet, tree_type, where, result
+            webhouse, acknowledged, pending, alphabet, tree_type, document, where, result
         )
 
     try:
@@ -239,6 +248,8 @@ def run_chaos_cycle(
                 # Spontaneous crash between operations: nothing in
                 # flight, so recovery must reproduce everything.
                 crash_and_resume(None, f"op {index} (clean crash)")
+            if index == conjunctive_at:
+                webhouse.apply_remedy(REMEDY_CONJUNCTIVE)
             recorded = False
             for attempt in range(MAX_ARMED_ATTEMPTS + 1):
                 armed_plan = plan if attempt < MAX_ARMED_ATTEMPTS else None

@@ -6,6 +6,15 @@ new queries locally whenever possible (Corollary 3.15 / Theorem 3.14),
 and otherwise plans non-redundant local queries against the source
 (Theorem 3.19), merging their answers into its knowledge.
 
+Theorem 3.5 makes what a warehouse knows a pure function of its
+query/answer history, so it holds that knowledge as one immutable
+:class:`Knowledge` value: the representation (Refine's one incomplete
+tree, or Refine⁺'s layers after the conjunctive remedy), the history,
+and the materialized knowledge once a read has computed it.  Every
+write builds the next value and publishes it with one assignment, after
+its journal append succeeds: memory never holds a pair the journal
+lacks, and a reader answers from whichever value it took, with no lock.
+
 >>> wh = Webhouse(alphabet, tree_type=catalog_type)
 >>> wh.ask(source, query1)          # acquire knowledge
 >>> wh.can_answer(query3)           # True: answer locally, no source hit
@@ -14,7 +23,7 @@ and otherwise plans non-redundant local queries against the source
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..answering.answerable import fully_answerable
 from ..answering.facts import certainly_nonempty, possibly_nonempty
@@ -48,6 +57,131 @@ from .source import InMemorySource
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.session import Session, SessionStore
 
+Pair = Tuple[PSQuery, DataTree]
+
+
+class _Plain:
+    """Refine's representation (Theorem 3.4): one incomplete tree, typed
+    when materialized (Theorem 3.5)."""
+
+    __slots__ = ("state", "tree_type")
+    engine = "plain"
+
+    def __init__(self, state: IncompleteTree, tree_type: Optional[TreeType]):
+        self.state = state
+        self.tree_type = tree_type
+
+    def record(self, pairs: Iterable[Pair], alphabet: Sequence[str]) -> "_Plain":
+        state = self.state
+        for query, answer in pairs:
+            state = refine(state, query, answer, alphabet)
+        return _Plain(state, self.tree_type)
+
+    def compact(self, labels: Optional[List[str]]) -> "_Plain":
+        return _Plain(forget_specializations(self.state, labels), self.tree_type)
+
+    def minimize(self) -> "_Plain":
+        return _Plain(merge_equivalent_symbols(self.state), self.tree_type)
+
+    def layered(self, alphabet: Sequence[str], history: Sequence[Pair]) -> "_Layered":
+        return _Layered(refine_plus_sequence(alphabet, history, tree_type=self.tree_type))
+
+    def size(self) -> int:
+        return self.state.size()
+
+    def materialize(self) -> IncompleteTree:
+        if self.tree_type is not None:
+            return intersect_with_tree_type(self.state, self.tree_type)
+        return self.state.normalized()
+
+    def shape(self, value: "Knowledge") -> Tuple[int, int, int]:
+        tree = value.tree
+        return tree.size(), len(tree.type.symbols()), len(tree.data_node_ids())
+
+
+class _Layered:
+    """Refine⁺'s representation (Corollary 3.9): layers linear in the
+    history, whose product Theorem 3.10 prices."""
+
+    __slots__ = ("layers",)
+    engine = "conjunctive"
+    #: no one state is rep-equal to the layers, so no snapshot is taken:
+    #: the journal is the durable copy
+    state = None
+
+    def __init__(self, layers: ConjunctiveIncompleteTree):
+        self.layers = layers
+
+    def record(self, pairs: Iterable[Pair], alphabet: Sequence[str]) -> "_Layered":
+        layers = self.layers
+        for query, answer in pairs:
+            layers = layers.refine_plus(query, answer, alphabet)
+        return _Layered(layers)
+
+    def compact(self, labels: Optional[List[str]]) -> "_Layered":
+        layers = [forget_specializations(layer, labels) for layer in self.layers.layers]
+        return _Layered(ConjunctiveIncompleteTree(layers, self.layers.tree_type))
+
+    def minimize(self) -> "_Layered":
+        return self
+
+    def layered(self, alphabet: Sequence[str], history: Sequence[Pair]) -> "_Layered":
+        return self
+
+    def size(self) -> int:
+        return self.layers.size()
+
+    def materialize(self) -> IncompleteTree:
+        return self.layers.to_incomplete_tree()
+
+    def shape(self, value: "Knowledge") -> Tuple[int, int, int]:
+        symbols = sum(len(layer.type.symbols()) for layer in self.layers.layers)
+        return self.layers.size(), symbols, len(self.layers.data_nodes())
+
+
+Rep = Union[_Plain, _Layered]
+
+
+class Knowledge:
+    """One immutable value of what a warehouse knows (Theorem 3.5).
+
+    ``rep`` is the maintained representation, ``history`` the recorded
+    pairs, ``linear`` whether every recorded query is linear.  The
+    materialized knowledge, :attr:`tree`, and the books, :meth:`shape`,
+    are kept once computed; racing first readers compute equal ones.
+    (Not ``cached_property``: to 3.11 its lock is shared by instances.)
+    """
+
+    __slots__ = ("rep", "history", "linear", "_tree", "_shape")
+
+    def __init__(self, rep: Rep, history: Tuple[Pair, ...] = (), linear: bool = True):
+        self.rep = rep
+        self.history = history
+        self.linear = linear
+        self._tree: Optional[IncompleteTree] = None
+        self._shape: Optional[Tuple[int, int, int]] = None
+
+    @property
+    def tree(self) -> IncompleteTree:
+        """The materialized knowledge (history ∩ source type)."""
+        tree = self._tree
+        if tree is None:
+            tree = self._tree = self.rep.materialize()
+        return tree
+
+    def with_rep(self, rep: Rep) -> "Knowledge":
+        return self if rep is self.rep else Knowledge(rep, self.history, self.linear)
+
+    def shape(self) -> Tuple[int, int, int]:
+        """``(knowledge_size, specializations, data_nodes)``."""
+        shape = self._shape
+        if shape is None:
+            shape = self._shape = self.rep.shape(self)
+        return shape
+
+    def size(self) -> int:
+        return self.shape()[0]
+
 
 class Webhouse:
     """Incomplete-information warehouse for one XML source."""
@@ -64,13 +198,8 @@ class Webhouse:
         self._alphabet = sorted(set(alphabet))
         self._tree_type = tree_type
         self._auto_minimize = auto_minimize
-        self._state = universal_incomplete(self._alphabet)
-        #: When a conjunctive remedy is active, knowledge lives here as
-        #: Refine⁺ layers (Corollary 3.9) and ``_state`` is ignored.
-        self._conjunctive: Optional[ConjunctiveIncompleteTree] = None
-        self._knowledge_cache: Optional[IncompleteTree] = None
-        self._history: List[Tuple[PSQuery, DataTree]] = []
-        self._all_linear = True
+        #: The one knowledge value; a write replaces it whole.
+        self._value = self._empty()
         self._session: Optional["Session"] = None
         #: Source round trips (asks, completions) this warehouse made,
         #: counted whether or not global observability is on.
@@ -82,14 +211,35 @@ class Webhouse:
         self.monitor = monitor if monitor is not None else GrowthMonitor()
 
     @property
-    def history(self) -> Tuple[Tuple[PSQuery, DataTree], ...]:
+    def value(self) -> Knowledge:
+        """The current knowledge value; facts read off one value agree."""
+        return self._value
+
+    @property
+    def history(self) -> Tuple[Pair, ...]:
         """The recorded query/answer pairs, as an immutable tuple.
 
         Exposed read-only so the in-memory history and an attached
         session journal cannot silently diverge; mutate only through
         :meth:`record` / :meth:`ask` / :meth:`reset`.
         """
-        return tuple(self._history)
+        return self._value.history
+
+    def _empty(self) -> Knowledge:
+        """The bare type, in plain mode."""
+        return Knowledge(_Plain(universal_incomplete(self._alphabet), self._tree_type))
+
+    def _recorded(self, value: Knowledge, pairs: Tuple[Pair, ...]) -> Knowledge:
+        """The record transition (batched as :meth:`record_many` says);
+        the history takes every pair, in order."""
+        fold = pairs
+        if len(pairs) > 1:  # each distinct pair once, smallest first
+            fold = sorted(dict.fromkeys(pairs), key=lambda qa: (qa[0].size(), len(qa[1])))
+        rep = value.rep.record(fold, self._alphabet)
+        if self._auto_minimize:
+            rep = rep.minimize()
+        linear = value.linear and all(query.is_linear() for query, _ in pairs)
+        return Knowledge(rep, value.history + pairs, linear)
 
     # -- persistence -------------------------------------------------------------
 
@@ -110,22 +260,15 @@ class Webhouse:
         if self._session is not None:
             raise ValueError("a session is already attached; detach() first")
         if not session.is_empty():
-            if self._history:
+            if self._value.history:
                 raise ValueError(
                     "cannot attach a non-empty session to a warehouse with "
                     "history; use Webhouse.resume()"
                 )
             self._load(session)
         else:
-            for query, answer in self._history:
-                session.append_event(
-                    {
-                        "type": "record",
-                        "origin": "attach",
-                        "query": _codec.query_to_json(query),
-                        "answer": _codec.tree_to_json(answer),
-                    }
-                )
+            for query, answer in self._value.history:
+                session.append_event(_record_event(query, answer, "attach"))
         self._session = session
 
     def detach(self) -> Optional["Session"]:
@@ -167,36 +310,39 @@ class Webhouse:
         Each event runs through the transition the live :meth:`record`,
         :meth:`reset` or :meth:`compact` runs, over the session's own
         alphabet and ``auto_minimize``, in plain mode — so the journal
-        has one interpreter.  Replay journals nothing and feeds neither
-        the growth monitor nor the metrics.
+        has one interpreter.  The replayed value is published once, at
+        the end.  Replay journals nothing and feeds neither the growth
+        monitor nor the metrics.
         """
         with _span("store.session.recover") as sp:
             upto, state, history, events = session.load()
             self._alphabet = session.alphabet()
             self._auto_minimize = session.auto_minimize()
-            self._apply_reset()
+            value = self._empty()
             if state is not None:
-                self._state = state
-                self._history = list(history)
-                self._all_linear = all(q.is_linear() for q, _ in history)
+                history = tuple(history)
+                linear = all(query.is_linear() for query, _ in history)
+                value = Knowledge(_Plain(state, self._tree_type), history, linear)
             for event in events:
                 kind = event.get("type")
                 if kind == "record":
-                    self._apply_record(
+                    pair = (
                         _codec.query_from_json(event["query"]),
                         _codec.tree_from_json(event["answer"]),
                     )
+                    value = self._recorded(value, (pair,))
                 elif kind == "reset":
-                    self._apply_reset()
+                    value = self._empty()
                 elif kind == "compact":
-                    self._apply_compact(event.get("labels"))
+                    value = value.with_rep(value.rep.compact(event.get("labels")))
                 elif kind != "complete":
                     raise StoreError(f"unknown journal event type {kind!r}")
                 if _OBS.enabled:
                     _OBS.metrics.inc("store.replay.steps")
+            self._value = value
             if _OBS.enabled and sp is not None:
                 sp.attrs.update(
-                    snapshot_seq=upto, replayed=len(events), history=len(self._history)
+                    snapshot_seq=upto, replayed=len(events), history=len(value.history)
                 )
             return len(events)
 
@@ -217,19 +363,29 @@ class Webhouse:
         return dict(extra.get("workload") or {})
 
     def checkpoint(self) -> Optional[str]:
-        """Force a snapshot of the attached session now (None if detached).
+        """Force a snapshot of the attached session now.
 
         Returns the snapshot path; the covered journal prefix is
-        compacted away.
+        compacted away.  None when detached, and while the knowledge is
+        layered (conjunctive mode), whose durable copy is the journal.
         """
-        if self._session is None:
+        value = self._value
+        if self._session is None or value.rep.state is None:
             return None
-        return self._session.snapshot(self._state, list(self._history))
+        return self._session.snapshot(value.rep.state, value.history)
 
-    def _journal(self, event: Dict[str, object]) -> None:
-        if self._session is not None:
-            self._session.append_event(event)
-            self._session.maybe_snapshot(self._state, self._history)
+    def _publish(self, value: Knowledge, *events: Dict[str, object]) -> None:
+        """Journal ``events``, make ``value`` current, then take a due
+        snapshot (none while layered).  A failed append publishes nothing,
+        so memory never holds a pair the journal lacks; a batch failing
+        part-way leaves its journaled prefix to the next resume."""
+        session = self._session
+        if session is not None:
+            for event in events:
+                session.append_event(event)
+        self._value = value
+        if session is not None and value.rep.state is not None:
+            session.maybe_snapshot(value.rep.state, value.history)
 
     # -- acquisition -------------------------------------------------------------
 
@@ -247,46 +403,11 @@ class Webhouse:
         :class:`~repro.obs.monitor.BudgetExceeded` (knowledge and
         journal are consistent either way).
         """
-        with _span("webhouse.record") as sp:
-            self._apply_record(query, answer)
-            self._journal(
-                {
-                    "type": "record",
-                    "origin": _origin,
-                    "query": _codec.query_to_json(query),
-                    "answer": _codec.tree_to_json(answer),
-                }
-            )
-            size = self._representation_size()
-            if _OBS.enabled:
-                _OBS.metrics.inc("webhouse.records")
-                _OBS.metrics.observe("webhouse.knowledge_size", size)
-                if sp is not None:
-                    sp.attrs.update(
-                        step=len(self._history),
-                        answer_nodes=len(answer),
-                        knowledge_size=size,
-                        engine=self.engine,
-                    )
-            self.monitor.observe(size, linear=self._all_linear)
-
-    def _apply_record(self, query: PSQuery, answer: DataTree) -> None:
-        """The record transition: one Refine step (or Refine⁺ layer)."""
-        if self._conjunctive is not None:
-            self._conjunctive = self._conjunctive.refine_plus(
-                query, answer, self._alphabet
-            )
-        else:
-            self._state = refine(self._state, query, answer, self._alphabet)
-            if self._auto_minimize:
-                self._state = merge_equivalent_symbols(self._state)
-        self._knowledge_cache = None
-        self._history.append((query, answer))
-        self._all_linear = self._all_linear and query.is_linear()
+        self._record("webhouse.record", ((query, answer),), _origin)
 
     def record_many(
         self,
-        pairs: Iterable[Tuple[PSQuery, DataTree]],
+        pairs: Iterable[Pair],
         _origin: str = "record_many",
     ) -> None:
         """Batched :meth:`record`: fold many pairs, then bookkeep once.
@@ -300,53 +421,31 @@ class Webhouse:
         every input pair, in input order, so resume/replay semantics are
         unchanged.
         """
-        pairs = list(pairs)
-        if not pairs:
-            return
-        with _span("webhouse.record_many", pairs=len(pairs)) as sp:
-            if self._conjunctive is not None:
-                for query, answer in pairs:
-                    self._conjunctive = self._conjunctive.refine_plus(
-                        query, answer, self._alphabet
-                    )
-            else:
-                unique: List[Tuple[PSQuery, DataTree]] = []
-                seen = set()
-                for pair in pairs:
-                    if pair not in seen:
-                        seen.add(pair)
-                        unique.append(pair)
-                # merge small answers first: keeps intermediate products small
-                unique.sort(key=lambda qa: (qa[0].size(), len(qa[1])))
-                for query, answer in unique:
-                    self._state = refine(self._state, query, answer, self._alphabet)
-                if self._auto_minimize:
-                    self._state = merge_equivalent_symbols(self._state)
-            self._knowledge_cache = None
-            for query, answer in pairs:
-                self._history.append((query, answer))
-                self._all_linear = self._all_linear and query.is_linear()
-                self._journal(
-                    {
-                        "type": "record",
-                        "origin": _origin,
-                        "query": _codec.query_to_json(query),
-                        "answer": _codec.tree_to_json(answer),
-                    }
-                )
-            size = self._representation_size()
+        pairs = tuple(pairs)
+        if pairs:
+            self._record("webhouse.record_many", pairs, _origin)
+
+    def _record(self, name: str, pairs: Tuple[Pair, ...], origin: str) -> None:
+        """Record ``pairs`` and publish the value, then book them once:
+        metrics, the ``name`` span and the growth monitor."""
+        with _span(name, pairs=len(pairs)) as sp:
+            value = self._recorded(self._value, pairs)
+            self._publish(value, *(_record_event(q, a, origin) for q, a in pairs))
+            size = value.rep.size()
             if _OBS.enabled:
-                _OBS.metrics.inc("webhouse.batches")
                 _OBS.metrics.inc("webhouse.records", len(pairs))
-                _OBS.metrics.observe("webhouse.batch_pairs", len(pairs))
                 _OBS.metrics.observe("webhouse.knowledge_size", size)
+                if name == "webhouse.record_many":
+                    _OBS.metrics.inc("webhouse.batches")
+                    _OBS.metrics.observe("webhouse.batch_pairs", len(pairs))
                 if sp is not None:
                     sp.attrs.update(
-                        step=len(self._history),
+                        step=len(value.history),
+                        answer_nodes=sum(len(answer) for _, answer in pairs),
                         knowledge_size=size,
-                        engine=self.engine,
+                        engine=value.rep.engine,
                     )
-            self.monitor.observe(size, linear=self._all_linear)
+            self.monitor.observe(size, linear=value.linear)
 
     def ask(self, source: InMemorySource, query: PSQuery) -> DataTree:
         """Query the source and fold the answer into knowledge."""
@@ -359,26 +458,18 @@ class Webhouse:
             return answer
 
     def reset(self) -> None:
-        """Re-initialize to the bare type — the paper's answer to source
-        updates when no change information is available."""
-        self._apply_reset()
+        """Re-initialize to the bare type, in plain mode — the paper's
+        answer to source updates when no change information is
+        available."""
+        self._publish(self._empty(), {"type": "reset"})
         self.monitor.reset_window()
-        self._journal({"type": "reset"})
-
-    def _apply_reset(self) -> None:
-        """The reset transition: back to the bare type, plain mode."""
-        self._state = universal_incomplete(self._alphabet)
-        self._conjunctive = None
-        self._knowledge_cache = None
-        self._history.clear()
-        self._all_linear = True
 
     # -- growth control ----------------------------------------------------------
 
     @property
     def engine(self) -> str:
         """``"plain"`` (Algorithm Refine) or ``"conjunctive"`` (Refine⁺)."""
-        return "conjunctive" if self._conjunctive is not None else "plain"
+        return self._value.rep.engine
 
     def guard(
         self,
@@ -404,7 +495,7 @@ class Webhouse:
             degrade_callback=self._degrade,
             degrade_on_superlinear=degrade_on_superlinear,
         )
-        monitor.seed(self.monitor.sizes, all_linear=self._all_linear)
+        monitor.seed(self.monitor.sizes, all_linear=self._value.linear)
         self.monitor = monitor
         return monitor
 
@@ -429,17 +520,14 @@ class Webhouse:
         from disk starts back in plain mode.
         """
         with _span("webhouse.apply_remedy", remedy=remedy):
+            value = self._value
             if remedy == REMEDY_CONJUNCTIVE:
-                if self._conjunctive is None:
-                    self._conjunctive = refine_plus_sequence(
-                        self._alphabet, self._history, tree_type=self._tree_type
-                    )
-                    self._knowledge_cache = None
+                self._value = value.with_rep(
+                    value.rep.layered(self._alphabet, value.history)
+                )
             elif remedy == REMEDY_LINEAR:
                 self._auto_minimize = True
-                if self._conjunctive is None:
-                    self._state = merge_equivalent_symbols(self._state)
-                    self._knowledge_cache = None
+                self._value = value.with_rep(value.rep.minimize())
             elif remedy == REMEDY_LOSSY:
                 self.compact()
             else:
@@ -447,14 +535,6 @@ class Webhouse:
             if _OBS.enabled:
                 _OBS.metrics.inc(f"webhouse.remedy.{remedy}")
             self.monitor.reset_window()
-
-    def _representation_size(self) -> int:
-        """Size of the *maintained* representation (not the materialized
-        knowledge): conjunctive layers when degraded, else the plain
-        state.  This is the quantity the growth remedies bound."""
-        if self._conjunctive is not None:
-            return self._conjunctive.size()
-        return self._state.size()
 
     # -- knowledge ------------------------------------------------------------------
 
@@ -467,31 +547,12 @@ class Webhouse:
         precisely the cost the conjunctive representation defers from
         every ``record`` to the queries that need full knowledge.
         """
-        if self._knowledge_cache is None:
-            if self._conjunctive is not None:
-                self._knowledge_cache = self._conjunctive.to_incomplete_tree()
-            elif self._tree_type is not None:
-                self._knowledge_cache = intersect_with_tree_type(
-                    self._state, self._tree_type
-                )
-            else:
-                self._knowledge_cache = self._state.normalized()
-        return self._knowledge_cache
+        return self._value.tree
 
     def prepare(self) -> "Webhouse":
-        """Materialize the knowledge cache now; returns self.
-
-        Read paths (``answer_with_caveats``, prefix checks) normally
-        materialize :attr:`knowledge` lazily on first use.  Under a
-        readers-writer discipline (the cluster's per-shard locks) that
-        lazy fill would happen under a *read* lock; it is idempotent —
-        racing readers compute equal values and the losing assignment
-        changes nothing observable — but wasteful.  Calling ``prepare``
-        while the write lock is still held moves the materialization
-        cost onto the mutation that invalidated the cache, so
-        subsequent readers are pure.
-        """
-        self.knowledge  # noqa: B018 - property access fills the cache
+        """Materialize the current value's knowledge now; returns self.
+        Reads do it on first use anyway: this only picks the moment."""
+        self._value.tree  # noqa: B018 - property access fills it
         return self
 
     def data_tree(self) -> DataTree:
@@ -499,10 +560,9 @@ class Webhouse:
         return self.knowledge.data_tree()
 
     def size(self) -> int:
-        """Maintained representation size (conjunctive-aware)."""
-        if self._conjunctive is not None:
-            return self._conjunctive.size()
-        return self.knowledge.size()
+        """Knowledge size as reported: the materialized knowledge's in
+        plain mode, the layers' in conjunctive mode."""
+        return self._value.size()
 
     def stats(self) -> Dict[str, object]:
         """Operation counts and current knowledge shape, as plain data.
@@ -513,27 +573,16 @@ class Webhouse:
         (materializing the product just for stats would defeat the
         remedy).
         """
-        if self._conjunctive is not None:
-            shape: Dict[str, object] = {
-                "knowledge_size": self._conjunctive.size(),
-                "specializations": sum(
-                    len(layer.type.symbols()) for layer in self._conjunctive.layers
-                ),
-                "data_nodes": len(self._conjunctive.data_nodes()),
-            }
-        else:
-            knowledge = self.knowledge
-            shape = {
-                "knowledge_size": knowledge.size(),
-                "specializations": len(knowledge.type.symbols()),
-                "data_nodes": len(knowledge.data_node_ids()),
-            }
+        value = self._value
+        size, specializations, data_nodes = value.shape()
         return {
-            "queries_recorded": len(self._history),
+            "queries_recorded": len(value.history),
             "asks": self._asks,
             "source_completions": self._completions,
-            **shape,
-            "engine": self.engine,
+            "knowledge_size": size,
+            "specializations": specializations,
+            "data_nodes": data_nodes,
+            "engine": value.rep.engine,
             "growth_regime": self.monitor.classification(),
         }
 
@@ -550,23 +599,11 @@ class Webhouse:
         every tree the exact knowledge did (sound, lossy).
         """
         labels = None if labels is None else sorted(set(labels))
-        self._apply_compact(labels)
-        self._journal({"type": "compact", "labels": labels})
-
-    def _apply_compact(self, labels: Optional[List[str]]) -> None:
-        """The compact transition: forget specializations, per layer in
-        conjunctive mode."""
-        if self._conjunctive is not None:
-            self._conjunctive = ConjunctiveIncompleteTree(
-                [
-                    forget_specializations(layer, labels)
-                    for layer in self._conjunctive.layers
-                ],
-                self._conjunctive.tree_type,
-            )
-        else:
-            self._state = forget_specializations(self._state, labels)
-        self._knowledge_cache = None
+        value = self._value
+        self._publish(
+            value.with_rep(value.rep.compact(labels)),
+            {"type": "compact", "labels": labels},
+        )
 
     # -- local answering -----------------------------------------------------------
 
@@ -644,12 +681,13 @@ class Webhouse:
         with _span("webhouse.complete_and_answer") as sp:
             plan = self.completion_plan(query)
             self._completions += 1
-            self._journal(
+            self._publish(
+                self._value,
                 {
                     "type": "complete",
                     "query": _codec.query_to_json(query),
                     "plan_queries": len(plan),
-                }
+                },
             )
             if _OBS.enabled:
                 _OBS.metrics.inc("webhouse.completions")
@@ -670,4 +708,14 @@ class Webhouse:
             return result, plan
 
 
-__all__ = ["Webhouse"]
+def _record_event(query: PSQuery, answer: DataTree, origin: str) -> Dict[str, object]:
+    """The journal event of one recorded pair."""
+    return {
+        "type": "record",
+        "origin": origin,
+        "query": _codec.query_to_json(query),
+        "answer": _codec.tree_to_json(answer),
+    }
+
+
+__all__ = ["Knowledge", "Webhouse"]

@@ -46,10 +46,11 @@ consistent-hash ring; ``/ask`` *without* a session answers fleet-wide
 (scatter-gather certain-answer union); ``/statusz`` carries the
 per-shard rollup and ``/metrics`` the ``repro_shard_*`` series, read
 into a registry of the scrape's own, so a server exposes only its own
-pool's shards.  The server holds no engine lock of its own: every engine access passes the
-pool's per-shard admission gate, circuit breaker and readers-writer
-lock, and an overloaded shard surfaces as HTTP 503 with a
-``Retry-After`` hint (:class:`~repro.cluster.admission.ShardOverloaded`).
+pool's shards.  The server holds no engine lock: every engine access
+passes the pool's per-shard admission gate and circuit breaker (writes
+also its shard's lock; reads take none), and an overloaded shard
+surfaces as HTTP 503 with a ``Retry-After`` hint
+(:class:`~repro.cluster.admission.ShardOverloaded`).
 The read endpoints over the obs state (profile, flight recorder) never
 touch the engines.
 """
@@ -231,8 +232,8 @@ class OpsServer:
     ``start()`` binds and serves from a daemon thread (``port=0`` picks
     a free port); ``serve_forever()`` blocks instead.  All endpoint
     handlers run on the server's handler threads.  The server holds no
-    engine lock: the pool's per-shard locks and admission gates guard
-    every engine access.
+    engine lock: the pool's admission gates guard every engine access,
+    and its per-shard locks every write.
     """
 
     def __init__(

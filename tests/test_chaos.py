@@ -32,7 +32,7 @@ from repro.faults.chaos import (
     run_chaos_sweep,
 )
 from repro.faults.plan import FaultPlan
-from repro.mediator.webhouse import Webhouse
+from repro.mediator.webhouse import Knowledge, Webhouse
 
 #: Seeds the parametrized sweep covers (the acceptance floor is 50).
 SWEEP_SEEDS = range(54)
@@ -122,8 +122,11 @@ class TestChaosCatchesPlantedBugs:
             @classmethod
             def resume(cls, store, name):
                 webhouse = Webhouse.resume(store, name)
-                if webhouse._history:
-                    webhouse._history.pop()
+                value = webhouse.value
+                if value.history:
+                    webhouse._value = Knowledge(
+                        value.rep, value.history[:-1], value.linear
+                    )
                 return webhouse
 
         import repro.faults.chaos as chaos_module

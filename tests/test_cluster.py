@@ -49,6 +49,7 @@ from repro.workloads.catalog import (
     query1,
     query2,
     query3,
+    query4,
 )
 
 
@@ -185,7 +186,7 @@ class TestRWLock:
 
 class TestAdmission:
     def test_shed_at_limit(self):
-        control = AdmissionController(2, max_in_flight=1, policy="shed")
+        control = AdmissionController(2, max_in_flight=1)
         with control.admit(0):
             with pytest.raises(ShardOverloaded) as excinfo:
                 with control.admit(0):
@@ -198,48 +199,11 @@ class TestAdmission:
         assert stats[0]["shed"] == 1 and stats[0]["admitted"] == 1
         assert stats[1]["shed"] == 0
 
-    def test_wait_policy_times_out(self):
-        control = AdmissionController(
-            1, max_in_flight=1, policy="wait", wait_timeout_s=0.05
-        )
-        with control.admit(0):
-            started = time.monotonic()
-            with pytest.raises(ShardOverloaded):
-                with control.admit(0):
-                    pass
-            assert time.monotonic() - started >= 0.04
-
-    def test_wait_policy_gets_freed_slot(self):
-        control = AdmissionController(
-            1, max_in_flight=1, policy="wait", wait_timeout_s=5.0
-        )
-        acquired = []
-
-        def holder():
-            with control.admit(0):
-                time.sleep(0.1)
-
-        def waiter():
-            with control.admit(0):
-                acquired.append(True)
-
-        hold = threading.Thread(target=holder)
-        hold.start()
-        time.sleep(0.02)
-        wait = threading.Thread(target=waiter)
-        wait.start()
-        hold.join(timeout=5.0)
-        wait.join(timeout=5.0)
-        assert acquired == [True]
-        assert control.stats()[0]["shed"] == 0
-
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             AdmissionController(0)
         with pytest.raises(ValueError):
             AdmissionController(1, max_in_flight=0)
-        with pytest.raises(ValueError):
-            AdmissionController(1, policy="drop")
 
 
 # -- executor --------------------------------------------------------------------
@@ -515,9 +479,7 @@ class TestShardedWebhouse:
         resilience = ResiliencePolicy(breaker_failures=2, ask_all_deadline_s=0.5)
         cluster = _cluster(
             2,
-            admission=AdmissionController(
-                2, max_in_flight=3, policy="wait", wait_timeout_s=0.05
-            ),
+            admission=AdmissionController(2, max_in_flight=3),
             resilience=resilience,
         )
         try:
@@ -528,11 +490,7 @@ class TestShardedWebhouse:
                 admission = resized.admission
                 assert admission is not cluster.admission
                 assert len(admission.stats()) == 3
-                assert (
-                    admission.max_in_flight,
-                    admission.policy,
-                    admission.wait_timeout_s,
-                ) == (3, "wait", 0.05)
+                assert admission.max_in_flight == 3
             finally:
                 resized.close()
         finally:
@@ -595,9 +553,119 @@ class TestShardedWebhouse:
         finally:
             cluster.close()
 
+    def test_keyed_read_answers_while_a_write_refines(self, monkeypatch):
+        """Reads take no shard lock: while a record on the same session
+        is held inside Refine, a keyed read answers at once, from the
+        value published before the write."""
+        import repro.mediator.webhouse as webhouse_module
+
+        source = _catalog_source()
+        cluster = _cluster(1)
+        try:
+            cluster.ask("alice", source, query1())
+            before = cluster.answer_info("alice", query2())
+            inside, release = threading.Event(), threading.Event()
+            refine = webhouse_module.refine
+
+            def held_refine(*args):
+                inside.set()
+                release.wait(30.0)
+                return refine(*args)
+
+            monkeypatch.setattr(webhouse_module, "refine", held_refine)
+            answer = query2().evaluate(source.document())
+            writer = threading.Thread(
+                target=cluster.record, args=("alice", query2(), answer)
+            )
+            writer.start()
+            assert inside.wait(30.0)
+            reads = []
+            reader = threading.Thread(
+                target=lambda: reads.append(cluster.answer_info("alice", query2()))
+            )
+            reader.start()
+            reader.join(5.0)
+            answered_during_write = bool(reads)
+            release.set()
+            writer.join(30.0)
+            reader.join(30.0)
+            assert answered_during_write, "the read waited for the write"
+            during = reads[0]
+            assert _tree_facts(during["sure"]) == _tree_facts(before["sure"])
+            assert (during["may_have_more"], during["knowledge_size"]) == (
+                before["may_have_more"],
+                before["knowledge_size"],
+            )
+            assert during["queries_recorded"] == before["queries_recorded"] == 1
+            assert cluster.answer_info("alice", query2())["queries_recorded"] == 2
+        finally:
+            cluster.close()
+
+    def test_lock_free_reads_see_whole_values_under_contention(self):
+        """Readers racing writers on one shard, with a tiny switch
+        interval: every read's books belong to one value (the size that
+        goes with the history length it reports), and writers creating
+        sessions on the shard lose none of them."""
+        import sys
+
+        source = _catalog_source()
+        queries = [query1(), query2(), query3(), query4()]
+        reference = Webhouse(CATALOG_ALPHABET, tree_type=catalog_type())
+        # before its first pair lands, a session is unknown or empty
+        sizes = {0: {0, reference.size()}}
+        for count, query in enumerate(queries, 1):
+            reference.ask(source, query)
+            sizes[count] = {reference.size()}
+        cluster = _cluster(1)
+        books, errors = [], []
+
+        def guarded(work):
+            def run():
+                try:
+                    work()
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+            return run
+
+        def alice():
+            for query in queries:
+                cluster.ask("alice", source, query)
+
+        def tenant(index):
+            for key in (f"w{index}-a", f"w{index}-b"):
+                for query in queries[:2]:
+                    cluster.ask(key, source, query)
+
+        def reader():
+            for _ in range(60):
+                info = cluster.answer_info("alice", query3())
+                books.append((info["queries_recorded"], info["knowledge_size"]))
+                cluster.sessions()
+
+        work = [alice] + [lambda i=i: tenant(i) for i in range(4)] + [reader] * 3
+        threads = [threading.Thread(target=guarded(job)) for job in work]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert all(size in sizes[count] for count, size in books), books
+            assert len(cluster) == 9
+            assert len(cluster.engine("alice").history) == 4
+            assert all(len(cluster.engine(f"w{i}-b").history) == 2 for i in range(4))
+        finally:
+            cluster.close()
+
     def test_admission_backpressure_on_keyed_ops(self):
         cluster = _cluster(
-            2, admission=AdmissionController(2, max_in_flight=1, policy="shed")
+            2, admission=AdmissionController(2, max_in_flight=1)
         )
         try:
             shard = cluster.shard_of("alice")
@@ -1055,7 +1123,7 @@ class TestFleetLatencySketches:
 
     def test_shed_operations_do_not_pollute_latency(self):
         cluster = _cluster(
-            1, admission=AdmissionController(1, max_in_flight=1, policy="shed")
+            1, admission=AdmissionController(1, max_in_flight=1)
         )
         try:
             with obs.capture():

@@ -225,3 +225,32 @@ def test_any_of_shows_true_and_false_prefixes_as_the_fold_does():
         for cond in conds[1:]:
             fold = fold | cond
         assert repr(~Cond.any_of(conds)) == repr(~fold)
+
+
+@given(st.lists(cond_trees(depth=1), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_all_of_is_the_left_fold(trees):
+    """One-pass conjunction keeps the pairwise fold's denotation and text."""
+    conds = [build_cond(tree) for tree in trees]
+    fold = conds[0]
+    for cond in conds[1:]:
+        fold = fold & cond
+    fast = Cond.all_of(conds)
+    assert fast.values == fold.values
+    assert repr(fast) == repr(fold)
+    assert repr(~fast) == repr(~fold)
+
+
+def test_all_of_shows_true_and_false_prefixes_as_the_fold_does():
+    for conds in (
+        [Cond.true(), Cond.true(), Cond.eq(1)],
+        [Cond.lt(0), Cond.ge(0), Cond.eq(1)],
+        [Cond.lt(0), Cond.ge(0)],
+        [Cond.true(), Cond.true()],
+        [Cond.true(), Cond.false(), Cond.ne(1)],
+        [Cond.ne(1), Cond.eq(1), Cond.true()],
+    ):
+        fold = conds[0]
+        for cond in conds[1:]:
+            fold = fold & cond
+        assert repr(~Cond.all_of(conds)) == repr(~fold)

@@ -142,7 +142,7 @@ class TestCrashRecovery:
                 # the torn last record is gone, the rest survives
                 assert len(recovered) == len(full_history) - 1
                 from_scratch = refine_sequence(alphabet, list(recovered))
-                assert incomplete_equivalent(resumed._state, from_scratch)
+                assert incomplete_equivalent(resumed.value.rep.state, from_scratch)
             finally:
                 resumed.detach()
 

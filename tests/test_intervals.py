@@ -205,6 +205,20 @@ def test_wide_disjunction_normalizes_in_one_sweep(monkeypatch):
     assert len(cond.values.numbers.intervals) == 400
 
 
+def test_wide_conjunction_normalizes_in_one_sweep(monkeypatch):
+    """A 400-way conjunction is canonicalized once, not intersected once
+    per conjunct (which walked the accumulated set each time)."""
+    from repro.core.parsing import parse_cond
+
+    text = " & ".join(f"!= {i}" for i in range(400))
+    merges = _counting(monkeypatch, "_overlap_or_touch")
+    walks = _counting(monkeypatch, "_intersect")
+    cond = parse_cond(text)
+    assert len(merges) + len(walks) < 800
+    assert len(cond.values.numbers.intervals) == 401
+    assert not cond.accepts(7) and cond.accepts(400)
+
+
 def test_implies_walks_both_lists_once(monkeypatch):
     evens = IntervalSet([point(F(2 * i)) for i in range(400)])
     odds = IntervalSet([point(F(2 * i + 1)) for i in range(400)])

@@ -738,6 +738,25 @@ class TestServeCli:
         # an in-memory server leaves no session root behind
         assert list(tmp_path.iterdir()) == []
 
+    def test_serve_keeps_no_second_copy_of_request_traces(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The flight recorder holds each request's trace; ``serve``
+        leaves none of them in the ``obs.traces()`` ring, which no
+        endpoint reads."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_SESSION_ROOT", raising=False)
+        obs.reset()
+        code = cli_main(["repro", "serve", "--once", "--products", "4"])
+        document = json.loads(capsys.readouterr().out)
+        assert code == 0 and document["ok"] is True
+        recorded = next(
+            row for row in document["probes"] if row["endpoint"] == "/debug/flightrecorder"
+        )
+        assert int(recorded["detail"].split()[0]) > 0
+        assert [root for root in obs.traces() if root.name == "ops.request"] == []
+        assert obs.STATE.max_traces == 256
+
     def test_serve_rejects_unknown_flags(self, capsys):
         assert cli_main(["repro", "serve", "--bogus"]) == 2
 

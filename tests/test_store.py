@@ -421,7 +421,7 @@ class TestWebhouseSessions:
         resumed = Webhouse.resume(store, "s")
         assert self._checks(resumed, doc) == expected
         assert resumed.history == uninterrupted.history
-        assert incomplete_equivalent(resumed._state, uninterrupted._state)
+        assert incomplete_equivalent(resumed.value.rep.state, uninterrupted.value.rep.state)
         resumed.detach()
 
     def test_pure_replay_and_snapshot_paths_agree(self, setting):
@@ -441,7 +441,7 @@ class TestWebhouseSessions:
         assert via_replay.session.info()["snapshots"] == 0
         assert via_snapshot.session.info()["snapshots"] >= 1
         assert via_replay.history == via_snapshot.history
-        assert incomplete_equivalent(via_replay._state, via_snapshot._state)
+        assert incomplete_equivalent(via_replay.value.rep.state, via_snapshot.value.rep.state)
         assert self._checks(via_replay, doc) == self._checks(via_snapshot, doc)
         via_replay.detach()
         via_snapshot.detach()
@@ -457,7 +457,7 @@ class TestWebhouseSessions:
         wh.detach()
         resumed = Webhouse.resume(snap_store, "t35")
         from_scratch = refine_sequence(full_alphabet(), list(resumed.history))
-        assert incomplete_equivalent(resumed._state, from_scratch)
+        assert incomplete_equivalent(resumed.value.rep.state, from_scratch)
         resumed.detach()
 
     def test_resume_decodes_the_snapshot_once(self, setting, monkeypatch):
@@ -493,7 +493,7 @@ class TestWebhouseSessions:
         wh.ask(source, query2())
         wh.compact()
         expected = (len(wh.history), wh.can_answer(query2()), wh.data_tree())
-        expected_state = wh._state
+        expected_state = wh.value.rep.state
         wh.detach()
         resumed = Webhouse.resume(store, "rc")
         assert (
@@ -501,7 +501,7 @@ class TestWebhouseSessions:
             resumed.can_answer(query2()),
             resumed.data_tree(),
         ) == expected
-        assert incomplete_equivalent(resumed._state, expected_state)
+        assert incomplete_equivalent(resumed.value.rep.state, expected_state)
         resumed.detach()
 
     def test_attach_fresh_session_journals_existing_history(self, setting):

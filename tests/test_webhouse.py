@@ -4,13 +4,18 @@ import pytest
 
 from repro.core.conditions import Cond
 from repro.core.query import linear_query
+from repro.answering.answerable import fully_answerable
 from repro.core.tree import DataTree, node
+from repro.faults.inject import FaultInjected, fault_scope
+from repro.faults.plan import FaultPlan
 from repro.mediator.source import InMemorySource
 from repro.mediator.webhouse import Webhouse
+from repro.store import SessionStore
 from repro.workloads.catalog import (
     CATALOG_ALPHABET,
     catalog_type,
     demo_catalog,
+    generate_catalog,
     query1,
     query2,
     query3,
@@ -132,3 +137,111 @@ class TestLifecycle:
             source, linear_query(["root", "a", "b"])
         )
         assert answer == linear_query(["root", "a", "b"]).evaluate(doc)
+
+
+# -- the one knowledge value -----------------------------------------------------
+
+
+def _seed3_source() -> InMemorySource:
+    return InMemorySource(generate_catalog(8, seed=3), catalog_type())
+
+
+class TestKnowledgeValue:
+    def test_a_write_publishes_a_new_value_and_leaves_the_old_one(self, catalog_tt):
+        source = _seed3_source()
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt)
+        wh.ask(source, query1())
+        before = wh.value
+        sure, more = wh.answer_with_caveats(query2())
+        wh.ask(source, query2())
+        assert wh.value is not before
+        assert len(before.history) == 1 and len(wh.history) == 2
+        # the old value still answers as it did
+        assert fully_answerable(before.tree, query2()) == (not more, sure)
+
+    def test_history_is_the_values_tuple(self, setup):
+        wh, _source = setup
+        assert wh.history is wh.history is wh.value.history
+
+    def test_materialized_once_per_value(self, catalog_tt, monkeypatch):
+        import repro.mediator.webhouse as webhouse_module
+
+        calls = []
+        real = webhouse_module.intersect_with_tree_type
+        monkeypatch.setattr(
+            webhouse_module,
+            "intersect_with_tree_type",
+            lambda *args: calls.append(None) or real(*args),
+        )
+        source = _seed3_source()
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt)
+        wh.ask(source, query1())
+        wh.can_answer(query3())
+        wh.size()
+        wh.prepare()
+        assert len(calls) == 1
+        wh.ask(source, query2())
+        wh.can_answer(query3())
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("write", ["ask", "record"])
+    def test_failed_journal_append_publishes_nothing(self, tmp_path, write):
+        """Memory never holds a pair its journal lacks: a failed append
+        leaves history and size as they were, in memory and on disk."""
+        source = _seed3_source()
+        store = SessionStore(str(tmp_path))
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_type())
+        wh.attach(store.create("s", CATALOG_ALPHABET, tree_type=catalog_type()))
+        try:
+            wh.ask(source, query1())
+            before = (wh.history, wh.size())
+            with fault_scope(FaultPlan.parse("store.journal.append:error:once")):
+                with pytest.raises(FaultInjected):
+                    if write == "ask":
+                        wh.ask(source, query2())
+                    else:
+                        wh.record(query2(), source.ask(query2()))
+            assert (wh.history, wh.size()) == before
+        finally:
+            wh.detach()
+        resumed = Webhouse.resume(store, "s")
+        try:
+            assert (resumed.history, resumed.size()) == before
+        finally:
+            resumed.detach()
+
+    def test_conjunctive_mode_snapshot_keeps_knowledge(self, tmp_path):
+        """A snapshot taken while the knowledge is layered must not lose
+        what was recorded since the remedy: resume answers as live."""
+        source = _seed3_source()
+        store = SessionStore(str(tmp_path), snapshot_every=1)
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_type())
+        wh.attach(store.create("s", CATALOG_ALPHABET, tree_type=catalog_type()))
+        wh.ask(source, query1())
+        wh.apply_remedy("conjunctive")
+        wh.ask(source, query2())
+        assert wh.engine == "conjunctive"
+        live = [wh.answer_with_caveats(q) for q in (query2(), query3())]
+        assert [(len(sure), more) for sure, more in live] == [(12, False), (7, False)]
+        wh.detach()
+        resumed = Webhouse.resume(store, "s")
+        try:
+            assert resumed.history == wh.history
+            assert [resumed.answer_with_caveats(q) for q in (query2(), query3())] == live
+        finally:
+            resumed.detach()
+
+    def test_checkpoint_takes_no_snapshot_while_layered(self, tmp_path):
+        """Layered knowledge has no one state rep-equal to its history,
+        so its durable copy is the journal."""
+        source = _seed3_source()
+        store = SessionStore(str(tmp_path))
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_type())
+        wh.attach(store.create("s", CATALOG_ALPHABET, tree_type=catalog_type()))
+        try:
+            wh.ask(source, query1())
+            wh.apply_remedy("conjunctive")
+            assert wh.checkpoint() is None
+            assert wh.session.info()["snapshots"] == 0
+        finally:
+            wh.detach()
