@@ -12,7 +12,10 @@ and ``apply_remedy``.  It knows nothing of locks or retries: the
 caller serializes its writes (:class:`~repro.cluster.sharded.Shard`
 does, on its lock), and its reads need no lock, because each engine
 publishes its knowledge as one immutable value and the engine map is
-replaced, never mutated.
+replaced, never mutated.  A read takes each session's value once and
+answers both the verdict and the books from it; a session enters the
+map only once its first write has published, so no read sees a session
+that holds nothing yet.
 """
 
 from __future__ import annotations
@@ -92,7 +95,6 @@ class ShardHost:
                 extra=self.session_extra,
             )
             engine.attach(session)
-        self.engines = {**self.engines, key: engine}
         if _OBS.enabled:
             _OBS.metrics.inc("cluster.sessions_created")
         return engine
@@ -100,28 +102,44 @@ class ShardHost:
     def _write(self, key: str, change: Callable[[Webhouse], object]) -> object:
         """Run ``change`` on ``key``'s engine, creating it on first write.
 
+        A new engine enters the map only once that first write has
+        published a value, so until then a read sees an unknown key, and
+        a first write that fails leaves no session in memory.
+
         A store failure mid-write can leave an engine's journal ahead of
         its memory (an append that failed after it persisted), or its
         journal handle closed.  Disk is then the only trustworthy copy,
         so the engine is rebuilt by snapshot + replay — the Theorem 3.5
         path a restart takes — *before* the error leaves the host, and
-        the caller's retry sees the rebuilt engine.  Without a store,
-        memory is the state and stays.
+        the caller's retry sees the rebuilt engine.  A new durable
+        session whose first write fails, for whatever reason, is revived
+        the same way, since a restart would find it on disk.  Without a
+        store, memory is the state and stays.
         """
+        engine = self.engines.get(key)
+        born = None
         try:
-            engine = self.engines.get(key)
             if engine is None:
                 engine = self._create(key)
+                born = engine.value
             return change(engine)
-        except RETRYABLE_ERRORS:
-            if self.store is not None and self.store.exists(key):
+        except Exception as exc:
+            if (
+                (born is not None or isinstance(exc, RETRYABLE_ERRORS))
+                and self.store is not None
+                and self.store.exists(key)
+            ):
                 # dropped first: a failed resume must not leave the
                 # wedged engine serving
                 self.engines = {k: e for k, e in self.engines.items() if k != key}
+                born = None
                 self.resume(key)
                 if _OBS.enabled:
                     _OBS.metrics.inc("cluster.engine_revivals")
             raise
+        finally:
+            if born is not None and engine.value is not born:
+                self.engines = {**self.engines, key: engine}
 
     def _books(self, value: Knowledge) -> Dict[str, object]:
         return {
@@ -174,17 +192,18 @@ class ShardHost:
                 "knowledge_size": 0,
                 "queries_recorded": 0,
             }
-        books = self._books(engine.value)
-        sure, more = engine.answer_with_caveats(query)
-        return {"sure": sure, "may_have_more": more, **books}
+        value = engine.value
+        sure, more = engine.answer_with_caveats(query, value)
+        return {"sure": sure, "may_have_more": more, **self._books(value)}
 
     def answer_all(self, query: PSQuery) -> List[Tuple[str, DataTree, bool, int]]:
         """``(key, sure, may_have_more, knowledge_size)`` for every
-        session, key-sorted."""
-        return [
-            (key, *engine.answer_with_caveats(query), engine.size())
-            for key, engine in sorted(self.engines.items())
-        ]
+        session, key-sorted, each row from one value."""
+        rows = []
+        for key, engine in sorted(self.engines.items()):
+            value = engine.value
+            rows.append((key, *engine.answer_with_caveats(query, value), value.size()))
+        return rows
 
     def keys(self) -> List[str]:
         """The shard's session keys, sorted (cheap: no knowledge books)."""

@@ -172,6 +172,12 @@ class QuerySyntaxError(ValueError):
     """Malformed ps-query text."""
 
 
+#: Longest slash path :func:`parse_query_spec` accepts, in segments: far
+#: above any catalog query, far below the depth at which the engine's
+#: recursive passes exhaust the interpreter's stack.
+MAX_QUERY_STEPS = 64
+
+
 def parse_query(text: str) -> PSQuery:
     """Parse the indentation-based ps-query syntax.
 
@@ -248,13 +254,19 @@ def parse_query_spec(spec: str, named=None) -> PSQuery:
     syntax); a ``~`` prefix on the last segment extracts the whole
     subtree (the paper's bar adornment).  ``named`` optionally maps
     shorthand names (``"q1"``) to zero-arg query factories — the CLI and
-    the ops server pass the catalog workload's q1..q4 here.
+    the ops server pass the catalog workload's q1..q4 here.  A path of
+    more than :data:`MAX_QUERY_STEPS` segments is refused before any of
+    it is built.
     """
     if named and spec in named:
         return named[spec]()
+    segments = spec.split("/")
+    if len(segments) > MAX_QUERY_STEPS:
+        raise QuerySyntaxError(
+            f"query path has {len(segments)} steps; at most {MAX_QUERY_STEPS} are allowed"
+        )
     segment_re = re.compile(r"^(~?)([^\[\]/]+?)(?:\[(.+)\])?$")
     current: Optional[QueryNode] = None
-    segments = spec.split("/")
     for position, segment in enumerate(reversed(segments)):
         match = segment_re.match(segment.strip())
         if match is None:

@@ -43,7 +43,7 @@ class DataNode:
 class IncompleteTree:
     """An incomplete tree over Σ: ``(N, λ, ν, τ)`` plus ``allows_empty``."""
 
-    __slots__ = ("_nodes", "_type", "_allows_empty", "_fingerprint")
+    __slots__ = ("_nodes", "_type", "_allows_empty", "_fingerprint", "_data_tree")
 
     def __init__(
         self,
@@ -55,6 +55,7 @@ class IncompleteTree:
         self._type = tree_type
         self._allows_empty = bool(allows_empty)
         self._fingerprint: Optional[tuple] = None
+        self._data_tree: Optional[DataTree] = None
         for symbol in tree_type.symbols():
             target = tree_type.sigma(symbol)
             if target in self._nodes:
@@ -222,8 +223,15 @@ class IncompleteTree:
 
         Parent edges are recovered from the anchoring structure of τ.
         For reachable incomplete trees (produced by Refine) this is a
-        prefix of every represented tree.
+        prefix of every represented tree.  Kept once built, like the
+        fingerprint: the tree is immutable.
         """
+        tree = self._data_tree
+        if tree is None:
+            tree = self._data_tree = self._build_data_tree()
+        return tree
+
+    def _build_data_tree(self) -> DataTree:
         tau = self._type
         node_ids = set(self._nodes)
         parent: Dict[NodeId, Optional[NodeId]] = {}

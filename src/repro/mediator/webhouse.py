@@ -14,6 +14,8 @@ and the materialized knowledge once a read has computed it.  Every
 write builds the next value and publishes it with one assignment, after
 its journal append succeeds: memory never holds a pair the journal
 lacks, and a reader answers from whichever value it took, with no lock.
+A read's verdict (Corollary 3.15) is a pure function of the value and
+the query, so while the perf caches are on the value keeps it too.
 
 >>> wh = Webhouse(alphabet, tree_type=catalog_type)
 >>> wh.ask(source, query1)          # acquire knowledge
@@ -42,6 +44,7 @@ from ..obs.monitor import (
 )
 from ..obs.spans import span as _span
 from ..obs.state import STATE as _OBS
+from ..perf.state import STATE as _PERF
 from ..refine.conjunctive import ConjunctiveIncompleteTree, refine_plus_sequence
 from ..refine.heuristics import forget_specializations
 from ..refine.inverse import universal_incomplete
@@ -58,6 +61,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.session import Session, SessionStore
 
 Pair = Tuple[PSQuery, DataTree]
+
+#: Verdicts one knowledge value keeps, by query: room for every spec a
+#: session is asked over and over, while a stream of fresh queries (new
+#: price thresholds) empties the table instead of growing it.
+MAX_VERDICTS = 16
 
 
 class _Plain:
@@ -147,12 +155,14 @@ class Knowledge:
 
     ``rep`` is the maintained representation, ``history`` the recorded
     pairs, ``linear`` whether every recorded query is linear.  The
-    materialized knowledge, :attr:`tree`, and the books, :meth:`shape`,
-    are kept once computed; racing first readers compute equal ones.
+    materialized knowledge, :attr:`tree`, the books, :meth:`shape`, and
+    the verdicts, :meth:`verdict`, are kept once computed; racing first
+    readers compute equal ones.  A write publishes a new value, so
+    nothing kept here is ever invalidated.
     (Not ``cached_property``: to 3.11 its lock is shared by instances.)
     """
 
-    __slots__ = ("rep", "history", "linear", "_tree", "_shape")
+    __slots__ = ("rep", "history", "linear", "_tree", "_shape", "_verdicts")
 
     def __init__(self, rep: Rep, history: Tuple[Pair, ...] = (), linear: bool = True):
         self.rep = rep
@@ -160,6 +170,7 @@ class Knowledge:
         self.linear = linear
         self._tree: Optional[IncompleteTree] = None
         self._shape: Optional[Tuple[int, int, int]] = None
+        self._verdicts: Dict[PSQuery, Tuple[bool, DataTree]] = {}
 
     @property
     def tree(self) -> IncompleteTree:
@@ -181,6 +192,33 @@ class Knowledge:
 
     def size(self) -> int:
         return self.shape()[0]
+
+    def verdict(self, query: PSQuery) -> Tuple[bool, DataTree]:
+        """Corollary 3.15 on this value: ``(answerable, q(Td))``.
+
+        While the perf caches are on, the verdict is kept by query, at
+        most :data:`MAX_VERDICTS` of them; a full table is emptied, not
+        evicted from, because racing readers may be filling it.  The
+        check and the insert take no lock, so racing readers can
+        overshoot the bound by one entry each or empty a table another
+        just filled; every kept verdict is exact either way.  With the
+        caches off every call computes it.
+        """
+        if not _PERF.enabled:
+            return fully_answerable(self.tree, query)
+        verdicts = self._verdicts
+        verdict = verdicts.get(query)
+        if verdict is not None:
+            if _OBS.enabled:
+                _OBS.metrics.inc("webhouse.verdict_hits")
+            return verdict
+        verdict = fully_answerable(self.tree, query)
+        if len(verdicts) >= MAX_VERDICTS:
+            verdicts.clear()
+        verdicts[query] = verdict
+        if _OBS.enabled:
+            _OBS.metrics.inc("webhouse.verdict_misses")
+        return verdict
 
 
 class Webhouse:
@@ -609,7 +647,7 @@ class Webhouse:
 
     def can_answer(self, query: PSQuery) -> bool:
         """Corollary 3.15: is the query fully answerable locally?"""
-        answerable, _answer = fully_answerable(self.knowledge, query)
+        answerable, _answer = self._value.verdict(query)
         return answerable
 
     def answer_locally(self, query: PSQuery) -> DataTree:
@@ -617,7 +655,7 @@ class Webhouse:
 
         Raises ``ValueError`` when the knowledge does not determine it.
         """
-        answerable, answer = fully_answerable(self.knowledge, query)
+        answerable, answer = self._value.verdict(query)
         if not answerable:
             raise ValueError(
                 "query is not fully answerable from local knowledge; "
@@ -637,16 +675,20 @@ class Webhouse:
         answer."""
         return query.evaluate(self.data_tree())
 
-    def answer_with_caveats(self, query: PSQuery) -> Tuple[DataTree, bool]:
+    def answer_with_caveats(
+        self, query: PSQuery, value: Optional[Knowledge] = None
+    ) -> Tuple[DataTree, bool]:
         """Example 3.4's reply shape: the complete sure part, plus a flag
         telling whether the true answer may contain more.
 
         Returns ``(sure_answer, may_have_more)``: when the flag is
         False, ``sure_answer`` is the exact answer (the query was fully
         answerable, Corollary 3.15); when True, the source holds — or
-        may hold — matches the local knowledge cannot see.
+        may hold — matches the local knowledge cannot see.  ``value``,
+        when given, answers instead of the current value: a caller that
+        reports a value's books beside the answer passes that value.
         """
-        answerable, sure = fully_answerable(self.knowledge, query)
+        answerable, sure = (self._value if value is None else value).verdict(query)
         return sure, not answerable
 
     def is_certain_prefix(self, prefix: DataTree) -> bool:
@@ -718,4 +760,4 @@ def _record_event(query: PSQuery, answer: DataTree, origin: str) -> Dict[str, ob
     }
 
 
-__all__ = ["Knowledge", "Webhouse"]
+__all__ = ["Knowledge", "MAX_VERDICTS", "Webhouse"]

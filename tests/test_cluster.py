@@ -611,8 +611,8 @@ class TestShardedWebhouse:
         source = _catalog_source()
         queries = [query1(), query2(), query3(), query4()]
         reference = Webhouse(CATALOG_ALPHABET, tree_type=catalog_type())
-        # before its first pair lands, a session is unknown or empty
-        sizes = {0: {0, reference.size()}}
+        # before its first pair publishes, a session is unknown
+        sizes = {0: {0}}
         for count, query in enumerate(queries, 1):
             reference.ask(source, query)
             sizes[count] = {reference.size()}
@@ -663,6 +663,100 @@ class TestShardedWebhouse:
         finally:
             cluster.close()
 
+    def test_a_session_is_unknown_until_its_first_write_publishes(self, monkeypatch):
+        """While a session's first fetch is held inside Refine, a keyed
+        read answers as for an unknown key and no inventory counts it."""
+        import repro.mediator.webhouse as webhouse_module
+
+        source = _catalog_source()
+        cluster = _cluster(1)
+        inside, release = threading.Event(), threading.Event()
+        refine = webhouse_module.refine
+
+        def held_refine(*args):
+            inside.set()
+            release.wait(30.0)
+            return refine(*args)
+
+        monkeypatch.setattr(webhouse_module, "refine", held_refine)
+        writer = threading.Thread(target=cluster.ask, args=("alice", source, query1()))
+        writer.start()
+        try:
+            assert inside.wait(30.0)
+            during = cluster.answer_info("alice", query1())
+            sessions, count = cluster.sessions(), len(cluster)
+            fleet = cluster.ask_all_info(query1())
+        finally:
+            release.set()
+            writer.join(30.0)
+        try:
+            assert (during["knowledge_size"], during["queries_recorded"]) == (0, 0)
+            assert during["may_have_more"] and during["sure"].is_empty()
+            assert (sessions, count) == ([], 0)
+            assert fleet["sessions_answered"] == 0
+            assert cluster.sessions() == ["alice"]
+            assert cluster.answer_info("alice", query1())["queries_recorded"] == 1
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("error", [RuntimeError, OSError])
+    def test_a_failed_first_write_leaves_no_session(self, error):
+        class Broken(InMemorySource):
+            def ask(self, query):
+                raise error("source down")
+
+        broken = Broken(generate_catalog(8, seed=7), catalog_type())
+        cluster = _cluster(1)
+        try:
+            with pytest.raises(error):
+                cluster.ask("alice", broken, query1())
+            assert cluster.sessions() == [] and len(cluster) == 0
+            info = cluster.answer_info("alice", query1())
+            assert (info["knowledge_size"], info["queries_recorded"]) == (0, 0)
+            assert cluster.ask_all_info(query1())["sessions_answered"] == 0
+            cluster.ask("alice", _catalog_source(), query1())
+            assert cluster.sessions() == ["alice"]
+        finally:
+            cluster.close()
+
+    def test_a_read_answers_verdict_and_books_from_one_value(self, monkeypatch):
+        """Writes published on both sides of a read's answer change
+        nothing in that read: the verdict and the books of a keyed
+        response, and of a fleet row, come from the value it took."""
+        source = _catalog_source()
+        real = Webhouse.answer_with_caveats
+        pending = []
+
+        def answer_between_writes(self, *args):
+            self.record(pending[0], source.ask(pending[0]))
+            result = real(self, *args)
+            self.record(pending[1], source.ask(pending[1]))
+            return result
+
+        def facts(info):
+            return (
+                _tree_facts(info["sure"]),
+                info["may_have_more"],
+                info["knowledge_size"],
+                info.get("queries_recorded"),
+            )
+
+        for read in ("answer_info", "ask_all_info"):
+            cluster = _cluster(1)
+            try:
+                cluster.ask("alice", source, query1())
+                args = ("alice", query2()) if read == "answer_info" else (query2(),)
+                before = getattr(cluster, read)(*args)
+                pending[:] = [query2(), query4()]
+                with monkeypatch.context() as patch:
+                    patch.setattr(Webhouse, "answer_with_caveats", answer_between_writes)
+                    during = getattr(cluster, read)(*args)
+                assert len(cluster.engine("alice").history) == 3
+                assert before["may_have_more"]
+                assert facts(during) == facts(before), read
+            finally:
+                cluster.close()
+
     def test_admission_backpressure_on_keyed_ops(self):
         cluster = _cluster(
             2, admission=AdmissionController(2, max_in_flight=1)
@@ -683,6 +777,34 @@ class TestShardedWebhouse:
 
 
 class TestDurableCluster:
+    @pytest.mark.parametrize("fault", ["journal", "source"])
+    def test_a_failed_first_write_is_revived_from_disk(self, tmp_path, fault):
+        """A durable session whose first write fails is on disk, so it
+        is revived from its journal and stays visible, as a restart
+        would find it; the next write lands on it."""
+        from repro.faults.inject import FaultInjected, fault_scope
+
+        class Broken(InMemorySource):
+            def ask(self, query):
+                raise RuntimeError("source down")
+
+        cluster = _cluster(1, store=SessionStore(str(tmp_path)))
+        try:
+            if fault == "journal":
+                with fault_scope(FaultPlan.parse("store.journal.append:error")):
+                    with pytest.raises(FaultInjected):
+                        cluster.ask("alice", _catalog_source(), query1())
+            else:
+                broken = Broken(generate_catalog(8, seed=7), catalog_type())
+                with pytest.raises(RuntimeError):
+                    cluster.ask("alice", broken, query1())
+            assert cluster.sessions() == ["alice"]
+            assert cluster.answer_info("alice", query1())["queries_recorded"] == 0
+            cluster.ask("alice", _catalog_source(), query1())
+            assert cluster.answer_info("alice", query1())["queries_recorded"] == 1
+        finally:
+            cluster.close()
+
     @pytest.mark.parametrize("reopen", [1, 2, 3, 8])
     def test_cluster_resumes_sessions_into_same_shards(self, tmp_path, reopen):
         """Written at 3 shards and reopened at any count, every session

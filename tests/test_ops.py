@@ -362,6 +362,28 @@ class TestOpsServer:
             "failed_shards": {},
         }
 
+    def test_over_deep_query_is_400_at_the_edge(self):
+        """A path one step over the cap is refused before the engine
+        sees it, keyed or fleet-wide; at the cap both answer."""
+        from repro.core.parsing import MAX_QUERY_STEPS
+
+        obs.enable(NullSink())
+        perf.enable_caches()
+        srv = OpsServer()
+
+        def path(steps: int) -> str:
+            return "/".join(["catalog", "product"] + ["price"] * (steps - 2))
+
+        for scope in ("&session=demo", ""):
+            status, body = drive_request(srv, f"/ask?q={path(MAX_QUERY_STEPS + 1)}{scope}")
+            assert status == 400, body
+            assert "steps" in json.loads(body)["error"]
+            status, body = drive_request(srv, f"/ask?q={path(MAX_QUERY_STEPS)}{scope}")
+            assert status == 200, body
+            document = json.loads(body)
+            assert not document.get("degraded") and not document.get("failed_shards")
+        srv.cluster.close()
+
     def test_ask_path_query(self, server):
         status, _, body = _get(
             server.url + "/ask?q=catalog/product/price%5B%3C300%5D"
@@ -1068,3 +1090,10 @@ class TestParseQuerySpec:
     def test_bar_must_be_leaf(self):
         with pytest.raises(ValueError):
             parse_query_spec("~a/b")
+
+    def test_path_over_the_step_cap_is_refused(self):
+        from repro.core.parsing import MAX_QUERY_STEPS, QuerySyntaxError
+
+        assert parse_query_spec("/".join(["a"] * MAX_QUERY_STEPS)).depth() == MAX_QUERY_STEPS
+        with pytest.raises(QuerySyntaxError, match="steps"):
+            parse_query_spec("/".join(["a"] * (MAX_QUERY_STEPS + 1)))

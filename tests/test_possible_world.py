@@ -10,12 +10,17 @@ direct check that needs no enumeration of rep(T), at any scale:
   are a subset of q(D)'s;
 * an answer with ``may_have_more`` false is q(D) (Corollary 3.15).
 
+Each probe is also asked twice with the perf caches on, so the second
+ask reads the verdict the knowledge value keeps, and both must equal
+Corollary 3.15 computed afresh on that value with the caches off.
+
 The property runs over generated catalogs and fetch histories.  About a
 third of the histories apply a growth remedy part-way, and some move to
 a store and resume from it.  A small sweep runs in every ``pytest``
 invocation; the full sweep is marked ``oracle`` and scaled by
-``REPRO_ORACLE_INSTANCES``.  The mutation test checks the property
-itself: a Refine that drops one specialization must fail it.
+``REPRO_ORACLE_INSTANCES``.  The mutation tests check the property
+itself: a Refine that drops one specialization must fail it, and so
+must a verdict table that survives a write.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.mediator.webhouse as webhouse_module
+import repro.perf as perf
+from repro.answering.answerable import fully_answerable
 from repro.core.conditions import Cond
 from repro.core.parsing import parse_query_spec
 from repro.incomplete import ConditionalTreeType, IncompleteTree
@@ -100,13 +107,22 @@ def trials(draw, max_products: int) -> Trial:
 
 
 def _check(webhouse: Webhouse, document, probes, where: str) -> List[str]:
-    """The three checks, after one step."""
+    """The checks, after one step."""
     problems = []
-    if not webhouse.knowledge.contains(document):
+    value = webhouse.value
+    if not value.tree.contains(document):
         problems.append(f"{where}: D is not a possible world of the knowledge")
     for spec, query in probes:
         exact = query.evaluate(document)
-        sure, more = webhouse.answer_with_caveats(query)
+        with perf.uncached():
+            answerable, local = fully_answerable(value.tree, query)
+        with perf.cached():
+            asks = [webhouse.answer_with_caveats(query) for _ in range(2)]
+        if query not in value._verdicts:
+            problems.append(f"{where}: the verdict on {spec} was not kept")
+        if asks != [(local, not answerable)] * 2:
+            problems.append(f"{where}: the kept verdict on {spec} is not the value's")
+        sure, more = asks[0]
         if not set(sure.node_ids()) <= set(exact.node_ids()):
             problems.append(f"{where}: certain answer to {spec} is not a prefix of q(D)")
         if not more and sure != exact:
@@ -219,4 +235,22 @@ def test_refine_dropping_a_specialization_is_caught(monkeypatch, fetches):
         problems = violations(Trial(products, seed, fetches))
         assert any("not a possible world" in problem for problem in problems), (
             f"a Refine that drops a specialization went unnoticed on {fetches}"
+        )
+
+
+def test_a_verdict_table_that_survives_a_write_is_caught(monkeypatch):
+    """Verdicts kept on the Webhouse rather than on each value: every
+    value it publishes shares its predecessor's table, so a read after
+    a write answers from the knowledge before it."""
+    real = Webhouse._publish
+
+    def publish_sharing_the_table(self, value, *events):
+        value._verdicts = self._value._verdicts
+        real(self, value, *events)
+
+    monkeypatch.setattr(Webhouse, "_publish", publish_sharing_the_table)
+    for fetches in (("q1", "q2"), ("catalog/product/price[<300]", "q3")):
+        problems = violations(Trial(8, 3, fetches))
+        assert any("is not the value's" in problem for problem in problems), (
+            f"a verdict table that survives a write went unnoticed on {fetches}"
         )

@@ -245,3 +245,140 @@ class TestKnowledgeValue:
             assert wh.session.info()["snapshots"] == 0
         finally:
             wh.detach()
+
+
+# -- verdicts kept on the value ----------------------------------------------------
+
+
+def _counting_fully_answerable(monkeypatch):
+    """Count the calls a Webhouse makes to Corollary 3.15's check."""
+    import repro.mediator.webhouse as webhouse_module
+
+    calls = []
+    real = webhouse_module.fully_answerable
+    monkeypatch.setattr(
+        webhouse_module,
+        "fully_answerable",
+        lambda *args: calls.append(args[1]) or real(*args),
+    )
+    return calls
+
+
+def _price_query(limit: int):
+    return linear_query(["catalog", "product", "price"], [None, None, Cond.lt(limit)])
+
+
+class TestVerdictTable:
+    def test_cached_reads_compute_a_verdict_once_per_value(self, catalog_tt, monkeypatch):
+        import repro.obs as obs
+        import repro.perf as perf
+
+        calls = _counting_fully_answerable(monkeypatch)
+        source = _seed3_source()
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt)
+        wh.ask(source, query1())
+        with perf.cached(), obs.capture():
+            first = wh.answer_with_caveats(query2())
+            assert wh.answer_with_caveats(query2()) == first
+            assert wh.can_answer(query2()) is (not first[1])
+            assert wh.can_answer(query1())
+            assert wh.answer_locally(query1()) == source.ask(query1())
+            assert len(calls) == 2
+            assert obs.metrics.value("webhouse.verdict_misses") == 2
+            assert obs.metrics.value("webhouse.verdict_hits") == 3
+            wh.ask(source, query2())
+            wh.answer_with_caveats(query2())
+            assert len(calls) == 3
+
+    def test_uncached_computes_every_verdict(self, catalog_tt, monkeypatch):
+        import repro.perf as perf
+
+        calls = _counting_fully_answerable(monkeypatch)
+        source = _seed3_source()
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt)
+        wh.ask(source, query1())
+        with perf.cached():
+            wh.answer_with_caveats(query2())
+        with perf.uncached():
+            for _ in range(3):
+                wh.answer_with_caveats(query2())
+            wh.can_answer(query2())
+            wh.answer_locally(query1())
+        assert len(calls) == 6
+
+    def test_table_never_exceeds_its_bound(self, catalog_tt):
+        import repro.perf as perf
+        from repro.mediator.webhouse import MAX_VERDICTS
+
+        source = _seed3_source()
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt)
+        wh.ask(source, query1())
+        value = wh.value
+        sizes = []
+        with perf.cached():
+            for limit in range(10, 10 + 3 * MAX_VERDICTS):
+                query = _price_query(limit)
+                assert wh.answer_with_caveats(query) == wh.answer_with_caveats(query)
+                sizes.append(len(value._verdicts))
+        assert max(sizes) == MAX_VERDICTS
+        # a full table is emptied before the next verdict goes in
+        assert sizes[MAX_VERDICTS] == 1
+
+    @pytest.mark.parametrize(
+        "write",
+        ["ask", "record_many", "reset", "compact", "conjunctive", "linear", "lossy"],
+    )
+    def test_every_write_publishes_an_empty_table(self, catalog_tt, write):
+        import repro.perf as perf
+
+        source = _seed3_source()
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt)
+        wh.ask(source, query1())
+        with perf.cached():
+            wh.answer_with_caveats(query2())
+            wh.can_answer(query3())
+        before = wh.value
+        assert len(before._verdicts) == 2
+        if write == "ask":
+            wh.ask(source, query2())
+        elif write == "record_many":
+            wh.record_many([(q, source.ask(q)) for q in (query2(), query3())])
+        elif write in ("reset", "compact"):
+            getattr(wh, write)()
+        else:
+            wh.apply_remedy(write)
+        assert wh.value is not before
+        assert wh.value._verdicts == {}
+        assert len(before._verdicts) == 2
+
+    def test_resume_starts_with_an_empty_table(self, tmp_path):
+        import repro.perf as perf
+
+        source = _seed3_source()
+        store = SessionStore(str(tmp_path))
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_type())
+        wh.attach(store.create("s", CATALOG_ALPHABET, tree_type=catalog_type()))
+        wh.ask(source, query1())
+        with perf.cached():
+            live = wh.answer_with_caveats(query2())
+        wh.detach()
+        resumed = Webhouse.resume(store, "s")
+        try:
+            assert resumed.value._verdicts == {}
+            with perf.cached():
+                assert resumed.answer_with_caveats(query2()) == live
+        finally:
+            resumed.detach()
+
+    def test_answers_from_the_value_it_is_given(self, catalog_tt):
+        import repro.perf as perf
+
+        source = _seed3_source()
+        wh = Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt)
+        wh.ask(source, query1())
+        taken = wh.value
+        before = wh.answer_with_caveats(query2())
+        wh.ask(source, query2())
+        with perf.cached():
+            assert wh.answer_with_caveats(query2(), taken) == before
+            assert wh.answer_with_caveats(query2()) != before
