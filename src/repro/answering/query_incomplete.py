@@ -38,8 +38,6 @@ from ..incomplete.conditional import ConditionalTreeType
 from ..incomplete.incomplete_tree import DataNode, IncompleteTree
 from ..obs.spans import span as _span
 from ..obs.state import STATE as _OBS
-from ..perf.memo import MISS as _MISS
-from ..perf.state import STATE as _PERF
 
 #: Marker path for the verbatim below-bar copy family.
 _SUB = "#sub"
@@ -135,18 +133,9 @@ def query_incomplete(
     incomplete: IncompleteTree, query: PSQuery
 ) -> IncompleteTree:
     """Theorem 3.14: the incomplete tree describing all possible answers."""
-    cache = _PERF.caches["query_incomplete"] if _PERF.enabled else None
-    if cache is not None:
-        memo_key = (incomplete.cache_key(), query)
-        cached = cache.get(memo_key)
-        if cached is not _MISS:
-            return cached
     with _span("query_incomplete") as sp:
         if incomplete.is_empty():
-            result = IncompleteTree.nothing(allows_empty=False)
-            if cache is not None:
-                cache.put(memo_key, result)
-            return result
+            return IncompleteTree.nothing(allows_empty=False)
         tau = incomplete.type.normalized()
         node_ids = incomplete.data_node_ids()
         poss, cert = type_possible_certain(incomplete, query)
@@ -170,8 +159,6 @@ def query_incomplete(
                     result_size=result.size(),
                     allows_empty=result.allows_empty,
                 )
-        if cache is not None:
-            cache.put(memo_key, result)
         return result
 
 

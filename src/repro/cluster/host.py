@@ -20,6 +20,7 @@ that holds nothing yet.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.query import PSQuery
@@ -130,9 +131,15 @@ class ShardHost:
                 and self.store.exists(key)
             ):
                 # dropped first: a failed resume must not leave the
-                # wedged engine serving
+                # wedged engine serving.  Its session closes before the
+                # resume opens a new one: both belong to this pid, so the
+                # new handle breaks the old lock file, and a later release
+                # by the old handle would delete the new one's.
                 self.engines = {k: e for k, e in self.engines.items() if k != key}
                 born = None
+                if engine is not None:
+                    with suppress(OSError):
+                        engine.detach()
                 self.resume(key)
                 if _OBS.enabled:
                     _OBS.metrics.inc("cluster.engine_revivals")

@@ -71,12 +71,13 @@ def subtree(label: str, cond: Optional[Cond] = None) -> QueryNode:
 class PSQuery:
     """An immutable prefix-selection query."""
 
-    __slots__ = ("_root", "_paths")
+    __slots__ = ("_root", "_paths", "_hash")
 
     def __init__(self, root: QueryNode):
         self._root = root
         self._paths: Dict[Path, QueryNode] = {}
         self._index(root, ())
+        self._hash: Optional[int] = None
 
     def _index(self, node: QueryNode, path: Path) -> None:
         self._paths[path] = node
@@ -204,12 +205,17 @@ class PSQuery:
         return "\n".join(lines)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, PSQuery):
             return NotImplemented
         return self._root == other._root
 
     def __hash__(self) -> int:
-        return hash(self._root)
+        """Computed once and kept, as the query is immutable."""
+        if self._hash is None:
+            self._hash = hash(self._root)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"PSQuery({self._root.label!r}, {self.size()} nodes)"

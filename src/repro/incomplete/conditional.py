@@ -271,7 +271,6 @@ class ConditionalTreeType:
         sigma = {symbol: self._sigma[symbol] for symbol in useful}
         result = ConditionalTreeType(self._roots & useful, mu, cond, sigma)
         if cache is not None:
-            result = _PERF.pool.type(result)
             cache.put(key, result)
         return result
 

@@ -68,6 +68,7 @@ from .. import perf
 from ..cluster import ShardedWebhouse, ShardOverloaded
 from ..cluster.sharded import cluster_latency
 from ..core.parsing import parse_query_spec
+from ..core.query import PSQuery
 from ..faults.inject import (
     FaultInjected,
     armed as _faults_armed,
@@ -95,6 +96,11 @@ _TEXT = "text/plain; charset=utf-8"
 
 #: The ``path`` label of every request no route matches.
 UNMATCHED = "unmatched"
+
+#: Parsed ``/ask`` specs a server keeps, so a repeated spec hands the
+#: pool one query object whose hash is kept.  A full table is emptied,
+#: not evicted from, as :data:`~repro.mediator.webhouse.MAX_VERDICTS` is.
+MAX_PARSED = 64
 
 
 class OpsError(Exception):
@@ -270,6 +276,8 @@ class OpsServer:
         self.fault_plan = fault_plan
         #: remedies actually applied by a burning latency SLO, in order
         self.remedies_applied: list = []
+        #: spec string -> its parsed query, at most MAX_PARSED entries
+        self._parsed: Dict[str, PSQuery] = {}
         if self.degrade_on_burn:
             self.slo.set_degrade(self._degrade_for_burn)
         self._host = host
@@ -532,10 +540,7 @@ class OpsServer:
         mode = (params.get("mode") or ["local"])[0]
         if mode not in ("local", "fetch"):
             raise OpsError(400, f"unknown mode {mode!r} (local|fetch)")
-        try:
-            query = parse_query_spec(spec, named=named_queries())
-        except ValueError as exc:
-            raise OpsError(400, f"bad query {spec!r}: {exc}")
+        query = self._query(spec)
         document: Dict[str, object] = {"query": spec, "mode": mode}
         keys = params.get("session")
         if keys and keys[0]:
@@ -579,6 +584,24 @@ class OpsServer:
         extras["knowledge_size"] = document["knowledge_size"]
         extras["query"] = spec
         return 200, json.dumps(document, sort_keys=True) + "\n", _JSON
+
+    def _query(self, spec: str) -> PSQuery:
+        """``spec`` parsed, once per server while the table holds it.
+
+        Handler threads share the table without a lock: racing misses
+        parse equal queries and the last one kept wins, and racing
+        inserts can overshoot the bound by one entry each.
+        """
+        query = self._parsed.get(spec)
+        if query is None:
+            try:
+                query = parse_query_spec(spec, named=named_queries())
+            except ValueError as exc:
+                raise OpsError(400, f"bad query {spec!r}: {exc}")
+            if len(self._parsed) >= MAX_PARSED:
+                self._parsed.clear()
+            self._parsed[spec] = query
+        return query
 
     def _fetch_source(self, key: str) -> InMemorySource:
         """The document a keyed fetch for ``key`` asks.
@@ -761,6 +784,7 @@ def self_check(base_url: str, timeout: float = 5.0):
 
 
 __all__ = [
+    "MAX_PARSED",
     "OpsError",
     "OpsServer",
     "UNMATCHED",

@@ -5,13 +5,18 @@ Every Refine step (Theorem 3.5) and every q(T) evaluation (Theorem
 (Lemma 2.5), type normalizations, bipartite matchings and whole
 intersection products.  This package makes that work *shareable*:
 
-* an :class:`~repro.perf.intern.InternPool` hash-conses the immutable
-  term classes (``Cond``, ``Atom``, ``Disjunction``,
-  ``ConditionalTreeType``) so structurally-equal terms are
-  pointer-equal, and
-* named, size-bounded :class:`~repro.perf.memo.LRUCache` tables memoize
-  the PTIME subroutines behind structural fingerprints (see
+* an :class:`~repro.perf.intern.InternPool` hash-conses the small
+  immutable terms (``Cond``, ``Atom``, ``Disjunction``) so
+  structurally-equal terms are pointer-equal, and
+* named :class:`~repro.perf.memo.LRUCache` tables memoize the PTIME
+  subroutines behind structural fingerprints (see
   :mod:`repro.perf.state` for the catalogue).
+
+Every table and pool is bounded by a constant entry count sized from
+measured reuse, so the memory they hold is set by this package, not by
+the traffic served.  Whole q(T) results and whole types are not kept:
+they can be exponential in |Σ| (Example 3.2) and served traffic does not
+reuse them.
 
 Disabled by default.  Instrumented call sites check ``STATE.enabled``
 — one attribute load — before touching a cache, so the uncached
@@ -46,7 +51,7 @@ from typing import Dict, Iterator
 
 from ..obs.registry import Metrics
 from .intern import InternPool
-from .memo import DEFAULT_CAPACITY, LRUCache, MISS
+from .memo import LRUCache, MISS
 from .state import STATE, PerfState, TABLE_CAPACITIES
 
 
@@ -115,7 +120,6 @@ def cache_metrics() -> Metrics:
 
 
 __all__ = [
-    "DEFAULT_CAPACITY",
     "InternPool",
     "LRUCache",
     "MISS",

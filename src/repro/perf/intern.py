@@ -1,11 +1,11 @@
-"""Hash-consing of the library's immutable terms.
+"""Hash-consing of the library's small immutable terms.
 
 The representation layer builds the *same* small value objects over and
-over: every Refine product recombines conditions with ``&``, every
-disjunct expansion rebuilds atoms entry by entry, and long-lived
-pipelines hold thousands of structurally identical
-:class:`~repro.incomplete.conditional.ConditionalTreeType` rules.  An
-:class:`InternPool` maps every term to one canonical instance so that
+over: every Refine product recombines conditions with ``&``, and every
+disjunct expansion rebuilds atoms entry by entry, so the rules of
+:class:`~repro.incomplete.conditional.ConditionalTreeType` repeat them
+constantly.  An :class:`InternPool` maps every such term to one
+canonical instance so that
 
 * structurally-equal terms become **pointer-equal** — ``a is b`` — which
   turns the deep ``__eq__``/``__hash__`` walks that dominate memo-key
@@ -21,13 +21,16 @@ value objects whose ``__eq__`` agrees with their semantics**:
   one representative — sound everywhere the library consumes conditions,
   because every consumer goes through the denotation.
 * ``Atom`` / ``Disjunction`` compare structurally (order-normalized).
-* ``ConditionalTreeType`` compares by full rule structure.
 
-Never intern mutable state (histories, builders, metrics).  See
+Whole types are not pooled: they can be exponential in |Σ| (Example
+3.2), and served traffic rarely builds the same one twice.  Never
+intern mutable state (histories, builders, metrics).  See
 ``docs/PERFORMANCE.md`` for the contract.
 
-Pools are LRU-bounded: interning must never become an unbounded leak on
-adversarial workloads (Example 3.2 can mint 2^n distinct symbols).
+Pools are LRU-bounded, each by a constant sized from measured reuse: a
+pool miss only inserts, so a smaller pool costs sharing, never
+recomputation, and interning never becomes a leak on adversarial
+workloads.
 """
 
 from __future__ import annotations
@@ -40,22 +43,21 @@ from .memo import LRUCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.conditions import Cond
     from ..core.multiplicity import Atom, Disjunction
-    from ..incomplete.conditional import ConditionalTreeType
 
-#: Per-kind pool capacities.  Conditions and atoms are tiny and shared
-#: everywhere; types are larger, so fewer are kept.
+#: Per-kind pool capacities, from the reuse the served workloads show
+#: (``docs/PERFORMANCE.md``): 512 conditions hold every shared one, and
+#: 2048 atoms and disjunctions keep all but a fraction of a point.
 POOL_CAPACITIES = {
-    "cond": 8192,
-    "atom": 8192,
-    "disjunction": 8192,
-    "type": 1024,
+    "cond": 512,
+    "atom": 2048,
+    "disjunction": 2048,
 }
 
 
 class InternPool:
     """Canonical-instance tables for the immutable term classes."""
 
-    __slots__ = ("_conds", "_atoms", "_disjunctions", "_types")
+    __slots__ = ("_conds", "_atoms", "_disjunctions")
 
     def __init__(self) -> None:
         self._conds = LRUCache("intern.cond", POOL_CAPACITIES["cond"])
@@ -63,7 +65,6 @@ class InternPool:
         self._disjunctions = LRUCache(
             "intern.disjunction", POOL_CAPACITIES["disjunction"]
         )
-        self._types = LRUCache("intern.type", POOL_CAPACITIES["type"])
 
     # -- term kinds -------------------------------------------------------------
 
@@ -85,9 +86,6 @@ class InternPool:
     def disjunction(self, disjunction: "Disjunction") -> "Disjunction":
         return self._disjunctions.get_or_put(disjunction, disjunction)
 
-    def type(self, tree_type: "ConditionalTreeType") -> "ConditionalTreeType":
-        return self._types.get_or_put(tree_type.cache_key(), tree_type)
-
     # -- bookkeeping ------------------------------------------------------------
 
     def _tables(self) -> Dict[str, LRUCache]:
@@ -95,7 +93,6 @@ class InternPool:
             "cond": self._conds,
             "atom": self._atoms,
             "disjunction": self._disjunctions,
-            "type": self._types,
         }
 
     def stats(self) -> Dict[str, Dict[str, object]]:

@@ -28,9 +28,6 @@ from typing import Any, Dict, Hashable, Optional
 #: Unique sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
 
-#: Default capacity for a table when none is configured.
-DEFAULT_CAPACITY = 4096
-
 
 class LRUCache:
     """A named, capacity-bounded LRU map with hit/miss accounting.
@@ -41,7 +38,7 @@ class LRUCache:
 
     __slots__ = ("name", "capacity", "hits", "misses", "evictions", "_data", "_lock")
 
-    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, name: str, capacity: int):
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.name = name

@@ -20,10 +20,11 @@ The state owns the interning pool and the named memo tables:
                         (incomplete tree, tree type)
 ``refine``              one Refine step (Theorem 3.4) per
                         (state, query, answer, alphabet, normalize)
-``minimize``            ``merge_equivalent_symbols`` per incomplete tree
-``query_incomplete``    ``query_incomplete`` (Theorem 3.14) per
-                        (incomplete tree, query)
 ======================  ======================================================
+
+q(T) (Theorem 3.14) and ``merge_equivalent_symbols`` keep no table: a
+served read answers from the verdicts its knowledge value keeps
+(Corollary 3.15), and the served configuration never minimizes.
 """
 
 from __future__ import annotations
@@ -33,17 +34,18 @@ from typing import Dict
 from .intern import InternPool
 from .memo import LRUCache
 
-#: Default table capacities.  ``matching`` sees the most distinct small
-#: keys (one per (children, atom) shape); the tree-level tables hold
-#: bigger values and need fewer slots.
+#: Table capacities, each from the reuse the served workloads show
+#: (``docs/PERFORMANCE.md``), so memory is bounded by these constants,
+#: not by traffic.  ``matching`` keys are small shapes and no workload
+#: holds more than about 400 of them; ``emptiness`` and ``normalize``
+#: at 512 keep every hit a ``read_cold`` stream finds, and at 128 they
+#: cost it CPU.
 TABLE_CAPACITIES: Dict[str, int] = {
-    "emptiness": 2048,
-    "normalize": 1024,
-    "matching": 8192,
+    "emptiness": 512,
+    "normalize": 512,
+    "matching": 512,
     "type_intersect": 256,
     "refine": 256,
-    "minimize": 256,
-    "query_incomplete": 512,
 }
 
 

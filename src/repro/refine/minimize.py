@@ -27,8 +27,6 @@ from ..incomplete.conditional import ConditionalTreeType
 from ..incomplete.incomplete_tree import IncompleteTree
 from ..obs.spans import span as _span
 from ..obs.state import STATE as _OBS
-from ..perf.memo import MISS as _MISS
-from ..perf.state import STATE as _PERF
 
 
 def merge_equivalent_symbols(incomplete: IncompleteTree) -> IncompleteTree:
@@ -37,12 +35,6 @@ def merge_equivalent_symbols(incomplete: IncompleteTree) -> IncompleteTree:
     Iterating matters: once two leaf-level symbols merge, their parents'
     rules become syntactically equal and merge on the next round.
     """
-    cache = _PERF.caches["minimize"] if _PERF.enabled else None
-    if cache is not None:
-        memo_key = incomplete.cache_key()
-        cached = cache.get(memo_key)
-        if cached is not _MISS:
-            return cached
     with _span("refine.minimize") as sp:
         current = incomplete
         rounds = 0
@@ -58,8 +50,6 @@ def merge_equivalent_symbols(incomplete: IncompleteTree) -> IncompleteTree:
             _OBS.metrics.observe("refine.minimize_rounds", rounds)
             if sp is not None:
                 sp.attrs.update(rounds=rounds, symbols_merged=merged_count)
-        if cache is not None:
-            cache.put(memo_key, current)
         return current
 
 

@@ -346,19 +346,25 @@ class SessionStore:
     def open(self, name: str) -> Session:
         """Open an existing session (acquires the writer lock)."""
         directory = self._session_dir(name)
-        meta_path = os.path.join(directory, META_FILENAME)
-        try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except OSError:
-            raise StoreError(f"no such session {name!r} under {self._root}")
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"session {name!r} has a corrupt meta.json: {exc}")
+        meta = self._read_meta(name, directory)
         if meta.get("format") != codec.FORMAT_VERSION:
             raise StoreError(
                 f"session {name!r} uses unsupported format {meta.get('format')!r}"
             )
         return Session(directory, meta, self._snapshot_every)
+
+    def _read_meta(self, name: str, directory: str) -> Dict[str, Any]:
+        """``meta.json``, telling a missing session from a failed open."""
+        path = os.path.join(directory, META_FILENAME)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return json.load(handle)
+        except FileNotFoundError:
+            raise StoreError(f"no such session {name!r} under {self._root}")
+        except OSError as exc:
+            raise StoreError(f"cannot open session {name!r}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise StoreError(f"session {name!r} has a corrupt meta.json: {exc}")
 
     def exists(self, name: str) -> bool:
         try:
@@ -387,14 +393,7 @@ class SessionStore:
         advisory (a concurrent writer may be appending).
         """
         directory = self._session_dir(name)
-        meta_path = os.path.join(directory, META_FILENAME)
-        try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except OSError:
-            raise StoreError(f"no such session {name!r} under {self._root}")
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"session {name!r} has a corrupt meta.json: {exc}")
+        meta = self._read_meta(name, directory)
         try:
             journal_bytes = os.stat(os.path.join(directory, JOURNAL_FILENAME)).st_size
         except OSError:

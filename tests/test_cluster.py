@@ -13,6 +13,7 @@ into shards changes no history).
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -802,6 +803,34 @@ class TestDurableCluster:
             assert cluster.answer_info("alice", query1())["queries_recorded"] == 0
             cluster.ask("alice", _catalog_source(), query1())
             assert cluster.answer_info("alice", query1())["queries_recorded"] == 1
+        finally:
+            cluster.close()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_a_revive_closes_the_engine_it_drops(self, tmp_path):
+        """The revive path closes the dropped engine's session before
+        it resumes one from disk, so a reader still holding the dropped
+        engine keeps no journal open: 20 revived writes leave the
+        process's open descriptors where they were."""
+        from repro.faults.inject import fault_scope
+
+        source = _catalog_source()
+        cluster = _cluster(1, store=SessionStore(str(tmp_path)))
+        keys = [f"tenant-{i}" for i in range(20)]
+        try:
+            for key in keys:
+                cluster.ask(key, source, query1())
+            held = [cluster.engine(key) for key in keys]  # as readers do
+            before = len(os.listdir("/proc/self/fd"))
+            for key in keys:
+                with fault_scope(FaultPlan.parse("store.journal.append:error:once")):
+                    cluster.ask(key, source, query2())
+            assert len(os.listdir("/proc/self/fd")) == before
+            assert all(engine.session is None for engine in held)
+            assert all(cluster.engine(key) is not engine for key, engine in zip(keys, held))
+            assert cluster.answer_info(keys[0], query1())["queries_recorded"] == 2
         finally:
             cluster.close()
 

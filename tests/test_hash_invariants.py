@@ -119,10 +119,6 @@ class TestConditionalTreeTypeKeys:
         assert base == variant
         assert base.cache_key() == variant.cache_key()
 
-    def test_interning_types(self):
-        pool = InternPool()
-        assert pool.type(_example_type()) is pool.type(_example_type())
-
     def test_normalized_idempotent(self):
         tau = _example_type()
         once = tau.normalized()

@@ -643,16 +643,17 @@ class TestPrometheusCacheSeries:
 
 # -- one exposition path ---------------------------------------------------------
 
-#: The seven perf memo tables, named here so a renamed table shows.
+#: The five perf memo tables, named here so a renamed table shows.
 _CACHE_TABLES = (
     "emptiness",
     "normalize",
     "matching",
     "type_intersect",
     "refine",
-    "minimize",
-    "query_incomplete",
 )
+
+#: Memo tables that were deleted: no series of theirs may come back.
+_DELETED_TABLES = ("query_incomplete", "minimize")
 
 
 def _families(text: str) -> dict:
@@ -738,6 +739,8 @@ class TestScrapeRegistry:
         )
         families = _families(body)
         assert {name: families.get(name) for name in expected} == expected
+        deleted = tuple(f"repro_cache_{table}_" for table in _DELETED_TABLES)
+        assert not [name for name in families if name.startswith(deleted)]
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -1074,6 +1077,93 @@ class TestAlwaysOnTelemetry:
         assert obs.STATE.metrics.quantile("demo.series", 0.5) == pytest.approx(
             0.5, rel=0.03
         )
+
+
+class TestAskParsesOnce:
+    SPEC = "/ask?q=catalog/product/price[%3C300]&session=demo"
+
+    def test_a_repeated_spec_hands_the_pool_one_query(self, monkeypatch):
+        """Two ``/ask`` with one spec parse it once, through the module
+        global the traced benchmark wraps, and hand the pool the
+        identical query object."""
+        import repro.ops.server as server_module
+
+        srv = _demo_server()
+        parsed, seen = [], []
+        real_parse, real_answer = server_module.parse_query_spec, srv.cluster.answer_info
+
+        def counting_parse(spec, **kwargs):
+            parsed.append(spec)
+            return real_parse(spec, **kwargs)
+
+        def answer_info(key, query):
+            seen.append(query)
+            return real_answer(key, query)
+
+        monkeypatch.setattr(server_module, "parse_query_spec", counting_parse)
+        monkeypatch.setattr(srv.cluster, "answer_info", answer_info)
+        try:
+            assert drive_request(srv, self.SPEC)[0] == 200
+            assert drive_request(srv, self.SPEC)[0] == 200
+        finally:
+            srv.cluster.close()
+        assert parsed == ["catalog/product/price[<300]"]
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    def test_the_table_never_exceeds_its_bound(self):
+        from repro.ops.server import MAX_PARSED
+
+        srv = _demo_server()
+        sizes = []
+        try:
+            for t in range(3 * MAX_PARSED):
+                path = f"/ask?q=catalog/product/price[%3C{t}]&session=demo"
+                assert drive_request(srv, path)[0] == 200
+                sizes.append(len(srv._parsed))
+            assert drive_request(srv, "/ask?q=a/~b/c")[0] == 400  # never kept
+        finally:
+            srv.cluster.close()
+        assert max(sizes) == MAX_PARSED
+        assert len(srv._parsed) <= MAX_PARSED
+
+    def test_racing_handlers_keep_the_table_bounded_and_exact(self):
+        """Handler threads share the table without a lock: under a short
+        switch interval every response still answers its own spec, and
+        the table overshoots its bound by at most one entry per thread."""
+        import sys
+
+        from repro.ops.server import MAX_PARSED
+
+        srv = _demo_server()
+        workers, errors, sizes = 8, [], []
+
+        def client(worker):
+            for i in range(40):
+                t = (worker * 40 + i) % (2 * MAX_PARSED)
+                status, body = drive_request(
+                    srv, f"/ask?q=catalog/product/price[%3C{t}]&session=demo"
+                )
+                if status != 200 or json.loads(body)["query"] != f"catalog/product/price[<{t}]":
+                    errors.append((status, body))
+                sizes.append(len(srv._parsed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(w,)) for w in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            srv.cluster.close()
+        assert not errors, errors[:3]
+        assert len(sizes) == workers * 40
+        assert max(sizes) <= MAX_PARSED + workers
+        for spec, query in list(srv._parsed.items()):
+            assert query == parse_query_spec(spec)
 
 
 class TestParseQuerySpec:

@@ -100,7 +100,7 @@ class TestGlobalSwitch:
         stats = perf.cache_stats()
         assert set(stats) == {"enabled", "tables", "intern"}
         assert set(stats["tables"]) == set(TABLE_CAPACITIES)
-        assert set(stats["intern"]) == {"cond", "atom", "disjunction", "type"}
+        assert set(stats["intern"]) == {"cond", "atom", "disjunction"}
         json.dumps(stats)  # exporter-ready
 
     def test_clear_caches_empties_tables(self):
@@ -202,3 +202,43 @@ class TestCliCachesFlag:
         assert main(["repro", "stats", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "caches" not in doc
+
+
+class TestMemoryBound:
+    def test_served_reads_plateau(self):
+        """Memory is bounded by the tables' constants, not by traffic:
+        under ``serve``'s configuration, fresh-threshold keyed reads
+        stop growing the heap once the bounded tables fill (about 10
+        blocks per request here, against over 60 while q(T) results and
+        whole types were kept)."""
+        import gc
+        import sys
+
+        from repro.ops import OpsServer, demo_cluster, drive_request
+
+        cluster, source = demo_cluster(1, products=8)
+        server = OpsServer(cluster, source=source)
+
+        def reads(thresholds):
+            for t in thresholds:
+                path = f"/ask?q=catalog/product/price[%3C{t}]&session=demo"
+                assert drive_request(server, path)[0] == 200
+
+        kept, obs.STATE.max_traces = obs.STATE.max_traces, 0
+        obs.enable(obs.NullSink())
+        perf.clear_caches()
+        try:
+            with perf.cached():
+                reads(range(800))
+                gc.collect()
+                before = sys.getallocatedblocks()
+                reads(range(800, 1200))
+                gc.collect()
+                grown = sys.getallocatedblocks() - before
+        finally:
+            obs.disable()
+            obs.reset()
+            obs.STATE.max_traces = kept
+            perf.clear_caches()
+            cluster.close()
+        assert grown / 400 < 30, f"{grown / 400:.1f} blocks per request"

@@ -44,6 +44,21 @@ class TestStructure:
         assert q.subquery((0,)).root.label == "a"
         assert q.size() == 3 and q.depth() == 3
 
+    def test_hash_is_computed_once_and_kept(self, monkeypatch):
+        from repro.core.query import QueryNode
+
+        calls = []
+        node_hash = QueryNode.__hash__
+        monkeypatch.setattr(
+            QueryNode, "__hash__", lambda self: calls.append(self) or node_hash(self)
+        )
+        q = PSQuery(pattern("root", children=[pattern("a"), pattern("b")]))
+        first = hash(q)
+        computed = len(calls)
+        assert computed >= 1
+        assert hash(q) == first and len(calls) == computed
+        assert q == q and q == PSQuery(q.root)
+
     def test_linear_query_builder(self):
         q = linear_query(["root", "a", "b"], [None, Cond.gt(0), None], extract_last=True)
         assert q.node_at((0, 0)).extract

@@ -2,6 +2,7 @@
 the Webhouse attach/resume integration (acceptance: a journaled session
 killed and resumed answers exactly like the uninterrupted one)."""
 
+import errno
 import json
 import os
 import subprocess
@@ -367,6 +368,29 @@ class TestSessionStore:
             handle.write(str(dead.pid))
         with store.open("stale") as session:  # stale lock broken silently
             assert session.name == "stale"
+
+    def test_a_failed_open_is_not_a_missing_session(self, tmp_path, monkeypatch):
+        """Only a missing ``meta.json`` reads ``no such session``; any
+        other open failure, such as running out of descriptors, names
+        its own cause."""
+        store = SessionStore(str(tmp_path))
+        store.create("busy", CATALOG_ALPHABET).close()
+
+        def exhausted(*args, **kwargs):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr("repro.store.session.open", exhausted, raising=False)
+        for read in (store.open, store.peek):
+            with pytest.raises(StoreError) as excinfo:
+                read("busy")
+            message = str(excinfo.value)
+            assert "no such session" not in message
+            assert os.strerror(errno.EMFILE) in message
+            assert isinstance(excinfo.value.__cause__, OSError)
+        monkeypatch.undo()
+        for read in (store.open, store.peek):
+            with pytest.raises(StoreError, match="no such session 'absent'"):
+                read("absent")
 
     def test_fork_copies_knowledge(self, tmp_path):
         tt = catalog_type()
