@@ -2,11 +2,15 @@
 """Cache effectiveness benchmark: repeated-query scenarios, off vs on.
 
 The ``repro.perf`` memo tables target *repetition*: the same emptiness
-fixpoint, Refine step, type intersection or bipartite matching asked
-again on an unchanged (tree, type) shape.  Each scenario below replays
-an E4–E11 workload several times — the first pass pays full price, the
-replays are where the caches earn their keep — and is timed twice, with
-caches off and on.
+fixpoint, normalization or bipartite matching asked again on an
+unchanged type shape, and the same ``Webhouse`` derivation (a history
+another session already recorded), which the ``knowledge`` table hands
+back whole.  Each scenario below replays an E4–E11 workload several
+times — the first pass pays full price, the replays are where the
+caches earn their keep — and is timed twice, with caches off and on.
+E7 calls ``refine_sequence`` directly, below the ``Webhouse``, so its
+replays re-run every Refine step with no table to hit; E10 replays the
+same history through fresh warehouses, which share one value.
 
 Usage::
 
@@ -99,7 +103,8 @@ def scenario_prefix_repeated() -> None:
 
 def scenario_refine_replay() -> None:
     """E7 shape: the same acquisition history folded again (replay /
-    crash-recovery pattern — every Refine step repeats exactly)."""
+    crash-recovery pattern — every Refine step repeats exactly, and
+    only the steps' emptiness, normalization and matching hit)."""
     history = _catalog_history(6, seed=6)
     for _ in range(REPEATS):
         refine_sequence(CATALOG_ALPHABET, history, tree_type=catalog_type())

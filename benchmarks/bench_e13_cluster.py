@@ -21,11 +21,16 @@ The benchmark runs the same fleet workload twice over HTTP:
   sessions (2 queries each), the same N threads asking each tenant's
   own queries via ``/ask?q=...&session=tenant-K``.
 
-Acceptance criterion (ISSUE 7): aggregate ``/ask`` throughput at
-4 shards / 8 client threads must be **>= 2x** the merged-session
-baseline.  The document also reports scatter-gather ``ask_all``
-latency and re-verifies shard-count invariance (1 vs 8 shards produce
-identical certain answers — Theorems 3.5 / 2.8).
+Acceptance criterion: aggregate ``/ask`` throughput at 4 shards / 8
+client threads must be **>= 2x** the merged-session baseline.  On a
+2-CPU host one side's throughput swings by a quarter between
+back-to-back runs, so the two sides are measured in :data:`ROUNDS`
+rounds that alternate which side goes first, each side under the same
+load every round, and the gate reads the median of the per-round
+cluster/mono ratios.  The document records every round, reports
+scatter-gather ``ask_all`` latency and re-verifies shard-count
+invariance (1 vs 8 shards produce identical certain answers —
+Theorems 3.5 / 2.8).
 
 Usage::
 
@@ -72,6 +77,8 @@ SESSIONS = 16
 REQUESTS_PER_THREAD = 30
 PRODUCTS = 24
 SEED = 7
+#: Rounds of both sides; odd, so the median ratio is one round's.
+ROUNDS = 5
 
 #: The fleet's distinct queries; each tenant session records two of
 #: them (rotating), the mono baseline records the deduplicated union.
@@ -234,9 +241,23 @@ def check_invariance() -> bool:
         eight.close()
 
 
-def evaluate(mono, cluster, invariance_ok: bool) -> dict:
+def run_rounds():
+    """:data:`ROUNDS` rounds of both sides, alternating which goes first;
+    returns the per-round results of each side."""
+    monos, clusters = [], []
+    for round_index in range(ROUNDS):
+        sides = [("mono", run_mono, monos), ("cluster", run_cluster, clusters)]
+        if round_index % 2:
+            sides.reverse()
+        for name, run, results in sides:
+            print(f"  round {round_index + 1}/{ROUNDS}: {name}...")
+            results.append(run())
+    return monos, clusters
+
+
+def evaluate(monos, clusters, invariance_ok: bool) -> dict:
     failures = []
-    all_rows = mono["rows"] + cluster["rows"]
+    all_rows = [row for side in monos + clusters for row in side["rows"]]
     for endpoint, status, _, _ in all_rows:
         if status != 200:
             failures.append(f"{endpoint} returned {status}")
@@ -249,12 +270,23 @@ def evaluate(mono, cluster, invariance_ok: bool) -> dict:
     if not invariance_ok:
         failures.append("certain answers differ between 1 and 8 shards")
 
-    mono_rps = len(mono["rows"]) / mono["wall_s"]
-    cluster_rps = len(cluster["rows"]) / cluster["wall_s"]
-    speedup = cluster_rps / mono_rps
-    if speedup < 2.0:
-        failures.append(f"cluster speedup {speedup:.2f}x < required 2x")
+    def rps(side) -> float:
+        return len(side["rows"]) / side["wall_s"]
 
+    rounds = [
+        {
+            "first": "mono" if index % 2 == 0 else "cluster",
+            "mono_rps": round(rps(mono), 1),
+            "cluster_rps": round(rps(cluster), 1),
+            "ratio": round(rps(cluster) / rps(mono), 3),
+        }
+        for index, (mono, cluster) in enumerate(zip(monos, clusters))
+    ]
+    speedup = statistics.median(rps(c) / rps(m) for m, c in zip(monos, clusters))
+    if speedup < 2.0:
+        failures.append(f"cluster speedup {speedup:.2f}x (median of rounds) < required 2x")
+
+    mono, cluster = monos[-1], clusters[-1]
     shard_sessions = [s["sessions"] for s in cluster["stats"]["per_shard"]]
     return {
         "suite": "pr7-cluster",
@@ -262,19 +294,20 @@ def evaluate(mono, cluster, invariance_ok: bool) -> dict:
         "client_threads": CLIENT_THREADS,
         "sessions": SESSIONS,
         "requests_per_side": len(mono["rows"]),
+        "rounds": rounds,
         "mono": {
-            "wall_s": round(mono["wall_s"], 4),
-            "throughput_rps": round(mono_rps, 1),
-            "ask": _percentiles([r[2] for r in mono["rows"]]),
+            "wall_s": round(statistics.median(m["wall_s"] for m in monos), 4),
+            "throughput_rps": round(statistics.median(rps(m) for m in monos), 1),
+            "ask": _percentiles([r[2] for m in monos for r in m["rows"]]),
             "knowledge_size": mono["knowledge_size"],
         },
         "cluster": {
-            "wall_s": round(cluster["wall_s"], 4),
-            "throughput_rps": round(cluster_rps, 1),
-            "ask": _percentiles([r[2] for r in cluster["rows"]]),
+            "wall_s": round(statistics.median(c["wall_s"] for c in clusters), 4),
+            "throughput_rps": round(statistics.median(rps(c) for c in clusters), 1),
+            "ask": _percentiles([r[2] for c in clusters for r in c["rows"]]),
             "knowledge_size": cluster["stats"]["knowledge_size"],
             "sessions_per_shard": shard_sessions,
-            "ask_all": _percentiles(cluster["ask_all_s"]),
+            "ask_all": _percentiles([s for c in clusters for s in c["ask_all_s"]]),
         },
         "speedup": round(speedup, 2),
         "shard_count_invariance": invariance_ok,
@@ -298,21 +331,23 @@ def main(argv) -> int:
     obs.enable(obs.RingBufferSink())
     try:
         print(
-            f"mono baseline: 1 session, {len(SPECS)} deduped queries, "
-            f"{CLIENT_THREADS} threads x {REQUESTS_PER_THREAD} asks..."
+            f"{ROUNDS} rounds, alternating which side goes first, each side "
+            f"{CLIENT_THREADS} threads x {REQUESTS_PER_THREAD} asks: mono is 1 "
+            f"session with {len(SPECS)} deduped queries, cluster {SHARDS} shards "
+            f"with {SESSIONS} sessions and routed asks..."
         )
-        mono = run_mono()
-        print(
-            f"cluster: {SHARDS} shards, {SESSIONS} sessions, same load, "
-            f"routed asks..."
-        )
-        cluster = run_cluster()
+        monos, clusters = run_rounds()
         print("invariance: replaying the fleet on 1 and 8 shards...")
         invariance_ok = check_invariance()
     finally:
         obs.STATE.enabled, obs.STATE.sink = previous
 
-    document = evaluate(mono, cluster, invariance_ok)
+    document = evaluate(monos, clusters, invariance_ok)
+    for index, row in enumerate(document["rounds"]):
+        print(
+            f"  round {index + 1} ({row['first']} first): mono {row['mono_rps']} req/s, "
+            f"cluster {row['cluster_rps']} req/s, x{row['ratio']}"
+        )
     m, c = document["mono"], document["cluster"]
     print(
         f"  mono     {m['throughput_rps']:>7.1f} req/s  "
@@ -324,7 +359,7 @@ def main(argv) -> int:
         f"across shards {c['sessions_per_shard']}"
     )
     print(
-        f"  speedup {document['speedup']}x (required >= 2x); "
+        f"  median speedup {document['speedup']}x (required >= 2x); "
         f"ask_all p50 {c['ask_all']['p50_ms']}ms; "
         f"invariance {'OK' if invariance_ok else 'BROKEN'}"
     )

@@ -1,8 +1,10 @@
 """One shard's engines, and the only implementation of every shard op.
 
 Theorem 3.5 makes a session's knowledge a pure function of its own
-query/answer history, so a shard is a closed world: one
-:class:`~repro.mediator.webhouse.Webhouse` per session key.  When
+query/answer history, so a shard is a closed world for what a session
+knows: one :class:`~repro.mediator.webhouse.Webhouse` per session key.
+It is not one for memory: sessions with equal derivations share one
+knowledge value, on any shard, while the perf caches are on.  When
 durable, every host shares the pool's one ``SessionStore`` root, where
 each session lives at ``<root>/<key>/`` whichever shard its key routes
 to, so routing stays an in-memory decision.

@@ -55,7 +55,6 @@ it back.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
@@ -68,6 +67,7 @@ from ..mediator.source import InMemorySource
 from ..mediator.webhouse import Webhouse
 from ..obs.spans import LATENCY, reset_shard, set_shard, span as _span
 from ..obs.state import STATE as _OBS
+from ..store.session import check_session_name
 from .admission import AdmissionController
 from .executor import Executor
 from .host import RETRYABLE_ERRORS, ShardHost
@@ -102,13 +102,6 @@ class ResiliencePolicy:
     breaker_failures: int = 5
     breaker_cooldown_s: float = 5.0
     ask_all_deadline_s: Optional[float] = None
-
-
-def _validate_key(key: str) -> str:
-    """Session keys double as durable session names; same rules apply."""
-    if not key or key != os.path.basename(key) or key.startswith("."):
-        raise ValueError(f"invalid session key {key!r}")
-    return key
 
 
 def cluster_latency() -> Dict[str, Dict[str, object]]:
@@ -209,7 +202,7 @@ class ShardedWebhouse:
 
     def shard_of(self, key: str) -> int:
         """The shard index that owns ``key`` (stable across processes)."""
-        return self.router.route(_validate_key(key))
+        return self.router.route(check_session_name(key))
 
     def breaker(self, index: int) -> CircuitBreaker:
         """Shard ``index``'s circuit breaker (for books and tests)."""

@@ -57,7 +57,8 @@ class CondSyntaxError(ValueError):
 def parse_cond(text: str) -> Cond:
     """Parse a condition expression (grammar in the module docstring).
 
-    Precedence: ``!`` binds tightest, then ``&``, then ``|``.
+    Precedence: ``!`` binds tightest, then ``&``, then ``|``.  Nesting
+    deeper than :data:`MAX_COND_NESTING` is refused.
     """
     tokens = _tokenize(text)
     parser = _CondParser(tokens, text)
@@ -85,11 +86,18 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
     return tokens
 
 
+#: Deepest nesting of ``(`` and ``!`` that :func:`parse_cond` accepts:
+#: far above any catalog condition, far below the depth at which the
+#: parser's recursion exhausts a handler thread's stack.
+MAX_COND_NESTING = 64
+
+
 class _CondParser:
     def __init__(self, tokens: List[Tuple[str, str]], source: str):
         self._tokens = tokens
         self._index = 0
         self._source = source
+        self._nesting = 0
 
     def peek(self) -> Optional[Tuple[str, str]]:
         if self._index < len(self._tokens):
@@ -122,15 +130,20 @@ class _CondParser:
         if token is None:
             raise CondSyntaxError(f"unexpected end of condition: {self._source!r}")
         kind, value = token
-        if kind == "not":
+        if kind in ("not", "lpar"):
             self.take()
-            return ~self.parse_unary()
-        if kind == "lpar":
-            self.take()
-            inner = self.parse_or()
-            closing = self.take()
-            if closing[0] != "rpar":
-                raise CondSyntaxError(f"missing ')' in {self._source!r}")
+            self._nesting += 1
+            if self._nesting > MAX_COND_NESTING:
+                raise CondSyntaxError(
+                    f"condition nests deeper than {MAX_COND_NESTING} levels of '(' and '!'"
+                )
+            if kind == "not":
+                inner = ~self.parse_unary()
+            else:
+                inner = self.parse_or()
+                if self.take()[0] != "rpar":
+                    raise CondSyntaxError(f"missing ')' in {self._source!r}")
+            self._nesting -= 1
             return inner
         if kind == "true":
             self.take()

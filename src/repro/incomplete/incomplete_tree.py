@@ -43,7 +43,7 @@ class DataNode:
 class IncompleteTree:
     """An incomplete tree over Σ: ``(N, λ, ν, τ)`` plus ``allows_empty``."""
 
-    __slots__ = ("_nodes", "_type", "_allows_empty", "_fingerprint", "_data_tree")
+    __slots__ = ("_nodes", "_type", "_allows_empty", "_data_tree")
 
     def __init__(
         self,
@@ -54,7 +54,6 @@ class IncompleteTree:
         self._nodes: Dict[NodeId, DataNode] = dict(nodes)
         self._type = tree_type
         self._allows_empty = bool(allows_empty)
-        self._fingerprint: Optional[tuple] = None
         self._data_tree: Optional[DataTree] = None
         for symbol in tree_type.symbols():
             target = tree_type.sigma(symbol)
@@ -103,20 +102,6 @@ class IncompleteTree:
     def size(self) -> int:
         """Representation size (data nodes + type size) for E6."""
         return len(self._nodes) + self._type.size()
-
-    def cache_key(self) -> tuple:
-        """Structural fingerprint: (data nodes, type fingerprint, flag)."""
-        key = self._fingerprint
-        if key is None:
-            key = (
-                frozenset(
-                    (nid, info.label, info.value) for nid, info in self._nodes.items()
-                ),
-                self._type.cache_key(),
-                self._allows_empty,
-            )
-            self._fingerprint = key
-        return key
 
     def with_allows_empty(self, allows_empty: bool) -> "IncompleteTree":
         return IncompleteTree(self._nodes, self._type, allows_empty)
@@ -223,8 +208,8 @@ class IncompleteTree:
 
         Parent edges are recovered from the anchoring structure of τ.
         For reachable incomplete trees (produced by Refine) this is a
-        prefix of every represented tree.  Kept once built, like the
-        fingerprint: the tree is immutable.
+        prefix of every represented tree.  Kept once built: the tree is
+        immutable.
         """
         tree = self._data_tree
         if tree is None:

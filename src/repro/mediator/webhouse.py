@@ -16,6 +16,9 @@ its journal append succeeds: memory never holds a pair the journal
 lacks, and a reader answers from whichever value it took, with no lock.
 A read's verdict (Corollary 3.15) is a pure function of the value and
 the query, so while the perf caches are on the value keeps it too.
+So is the value itself, of its derivation: while the caches are on,
+sessions with equal derivations publish the one value the ``knowledge``
+table keeps, with its history, materialized tree, books and verdicts.
 
 >>> wh = Webhouse(alphabet, tree_type=catalog_type)
 >>> wh.ask(source, query1)          # acquire knowledge
@@ -25,7 +28,7 @@ the query, so while the perf caches are on the value keeps it too.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..answering.answerable import fully_answerable
 from ..answering.facts import certainly_nonempty, possibly_nonempty
@@ -44,6 +47,7 @@ from ..obs.monitor import (
 )
 from ..obs.spans import span as _span
 from ..obs.state import STATE as _OBS
+from ..perf.memo import MISS as _MISS
 from ..perf.state import STATE as _PERF
 from ..refine.conjunctive import ConjunctiveIncompleteTree, refine_plus_sequence
 from ..refine.heuristics import forget_specializations
@@ -158,7 +162,8 @@ class Knowledge:
     materialized knowledge, :attr:`tree`, the books, :meth:`shape`, and
     the verdicts, :meth:`verdict`, are kept once computed; racing first
     readers compute equal ones.  A write publishes a new value, so
-    nothing kept here is ever invalidated.
+    nothing kept here is ever invalidated, and every session whose
+    derivation is equal may hold this one value (``Webhouse._derive``).
     (Not ``cached_property``: to 3.11 its lock is shared by instances.)
     """
 
@@ -263,21 +268,51 @@ class Webhouse:
         """
         return self._value.history
 
+    @staticmethod
+    def _derive(
+        parent: Optional[Knowledge], transition: object, compute: Callable[[], Knowledge]
+    ) -> Knowledge:
+        """The value ``transition`` derives from ``parent``: while the perf
+        caches are on, the one the ``knowledge`` table keeps for an equal
+        derivation on any session (``parent`` by identity, as ``Knowledge``
+        defines no ``__eq__``, so a lookup hashes only the transition)."""
+        if not _PERF.enabled:
+            return compute()
+        key, table = (parent, transition), _PERF.caches["knowledge"]
+        value = table.get(key)
+        if value is _MISS:  # racing misses compute equal values
+            value = compute()
+            table.put(key, value)
+        return value
+
     def _empty(self) -> Knowledge:
         """The bare type, in plain mode."""
-        return Knowledge(_Plain(universal_incomplete(self._alphabet), self._tree_type))
+        alphabet, tree_type = self._alphabet, self._tree_type
+        return self._derive(
+            None, (tuple(alphabet), tree_type),
+            lambda: Knowledge(_Plain(universal_incomplete(alphabet), tree_type)),
+        )
 
     def _recorded(self, value: Knowledge, pairs: Tuple[Pair, ...]) -> Knowledge:
         """The record transition (batched as :meth:`record_many` says);
         the history takes every pair, in order."""
-        fold = pairs
-        if len(pairs) > 1:  # each distinct pair once, smallest first
-            fold = sorted(dict.fromkeys(pairs), key=lambda qa: (qa[0].size(), len(qa[1])))
-        rep = value.rep.record(fold, self._alphabet)
-        if self._auto_minimize:
-            rep = rep.minimize()
-        linear = value.linear and all(query.is_linear() for query, _ in pairs)
-        return Knowledge(rep, value.history + pairs, linear)
+
+        def compute() -> Knowledge:
+            fold = pairs
+            if len(pairs) > 1:  # each distinct pair once, smallest first
+                fold = sorted(dict.fromkeys(pairs), key=lambda qa: (qa[0].size(), len(qa[1])))
+            rep = value.rep.record(fold, self._alphabet)
+            if self._auto_minimize:
+                rep = rep.minimize()
+            linear = value.linear and all(query.is_linear() for query, _ in pairs)
+            return Knowledge(rep, value.history + pairs, linear)
+
+        return self._derive(value, (pairs, self._auto_minimize), compute)
+
+    def _compacted(self, value: Knowledge, labels: Optional[List[str]]) -> Knowledge:
+        """The lossy transition (Section 3.2) over ``labels``, sorted."""
+        transition = ("compact", None if labels is None else tuple(labels))
+        return self._derive(value, transition, lambda: value.with_rep(value.rep.compact(labels)))
 
     # -- persistence -------------------------------------------------------------
 
@@ -348,9 +383,10 @@ class Webhouse:
         Each event runs through the transition the live :meth:`record`,
         :meth:`reset` or :meth:`compact` runs, over the session's own
         alphabet and ``auto_minimize``, in plain mode — so the journal
-        has one interpreter.  The replayed value is published once, at
-        the end.  Replay journals nothing and feeds neither the growth
-        monitor nor the metrics.
+        has one interpreter and one table.  A snapshot's value is a fresh
+        object, so what derives from it is this session's alone.  The
+        replayed value is published once, at the end.  Replay journals
+        nothing and feeds neither the growth monitor nor the metrics.
         """
         with _span("store.session.recover") as sp:
             upto, state, history, events = session.load()
@@ -372,7 +408,7 @@ class Webhouse:
                 elif kind == "reset":
                     value = self._empty()
                 elif kind == "compact":
-                    value = value.with_rep(value.rep.compact(event.get("labels")))
+                    value = self._compacted(value, event.get("labels"))
                 elif kind != "complete":
                     raise StoreError(f"unknown journal event type {kind!r}")
                 if _OBS.enabled:
@@ -560,12 +596,13 @@ class Webhouse:
         with _span("webhouse.apply_remedy", remedy=remedy):
             value = self._value
             if remedy == REMEDY_CONJUNCTIVE:
-                self._value = value.with_rep(
-                    value.rep.layered(self._alphabet, value.history)
+                self._value = self._derive(
+                    value, remedy,
+                    lambda: value.with_rep(value.rep.layered(self._alphabet, value.history)),
                 )
             elif remedy == REMEDY_LINEAR:
                 self._auto_minimize = True
-                self._value = value.with_rep(value.rep.minimize())
+                self._value = self._derive(value, remedy, lambda: value.with_rep(value.rep.minimize()))
             elif remedy == REMEDY_LOSSY:
                 self.compact()
             else:
@@ -637,10 +674,8 @@ class Webhouse:
         every tree the exact knowledge did (sound, lossy).
         """
         labels = None if labels is None else sorted(set(labels))
-        value = self._value
         self._publish(
-            value.with_rep(value.rep.compact(labels)),
-            {"type": "compact", "labels": labels},
+            self._compacted(self._value, labels), {"type": "compact", "labels": labels}
         )
 
     # -- local answering -----------------------------------------------------------

@@ -2,15 +2,17 @@
 
 Every Refine step (Theorem 3.5) and every q(T) evaluation (Theorem
 3.14) re-derives the same sub-results: condition-emptiness fixpoints
-(Lemma 2.5), type normalizations, bipartite matchings and whole
-intersection products.  This package makes that work *shareable*:
+(Lemma 2.5), type normalizations and bipartite matchings, and sessions
+with equal histories re-derive whole knowledge values.  This package
+makes that work *shareable*:
 
 * an :class:`~repro.perf.intern.InternPool` hash-conses the small
   immutable terms (``Cond``, ``Atom``, ``Disjunction``) so
-  structurally-equal terms are pointer-equal, and
+  structurally-equal terms are pointer-equal,
 * named :class:`~repro.perf.memo.LRUCache` tables memoize the PTIME
-  subroutines behind structural fingerprints (see
-  :mod:`repro.perf.state` for the catalogue).
+  subroutines behind structural fingerprints, and
+* the ``knowledge`` table hands every session the one value an equal
+  derivation published (see :mod:`repro.perf.state` for the catalogue).
 
 Every table and pool is bounded by a constant entry count sized from
 measured reuse, so the memory they hold is set by this package, not by

@@ -16,15 +16,16 @@ The state owns the interning pool and the named memo tables:
 ``normalize``           ``ConditionalTreeType.normalized`` per fingerprint
 ``matching``            ``max_bipartite_matching`` / ``feasible_assignment``
                         per (items, slots, adjacency) shape
-``type_intersect``      ``intersect_with_tree_type`` (Theorem 3.5) per
-                        (incomplete tree, tree type)
-``refine``              one Refine step (Theorem 3.4) per
-                        (state, query, answer, alphabet, normalize)
+``knowledge``           the ``Knowledge`` value a ``Webhouse`` derivation
+                        published, per (parent value by identity,
+                        transition): equal histories share one value
 ======================  ======================================================
 
-q(T) (Theorem 3.14) and ``merge_equivalent_symbols`` keep no table: a
-served read answers from the verdicts its knowledge value keeps
-(Corollary 3.15), and the served configuration never minimizes.
+Refine (Theorem 3.4), the type intersection (Theorem 3.5), q(T)
+(Theorem 3.14) and ``merge_equivalent_symbols`` keep no table: a
+derivation that recurs hits ``knowledge`` before any of them runs, and
+a served read answers from the verdicts its knowledge value keeps
+(Corollary 3.15).
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ from .memo import LRUCache
 #: not by traffic.  ``matching`` keys are small shapes and no workload
 #: holds more than about 400 of them; ``emptiness`` and ``normalize``
 #: at 512 keep every hit a ``read_cold`` stream finds, and at 128 they
-#: cost it CPU.
+#: cost it CPU.  ``knowledge`` holds every derivation a served workload
+#: makes: ``ingest``, the most, makes 65 (the bare type, 8 one-step and
+#: 56 two-step histories).
 TABLE_CAPACITIES: Dict[str, int] = {
     "emptiness": 512,
     "normalize": 512,
     "matching": 512,
-    "type_intersect": 256,
-    "refine": 256,
+    "knowledge": 128,
 }
 
 

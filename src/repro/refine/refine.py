@@ -24,8 +24,6 @@ from ..core.treetype import TreeType
 from ..incomplete.incomplete_tree import IncompleteTree
 from ..obs.spans import span as _span
 from ..obs.state import STATE as _OBS
-from ..perf.memo import MISS as _MISS
-from ..perf.state import STATE as _PERF
 from .intersect import intersect
 from .inverse import inverse_incomplete, universal_incomplete
 from .type_intersect import intersect_with_tree_type
@@ -42,19 +40,6 @@ def refine(
     normalize: bool = True,
 ) -> IncompleteTree:
     """One Refine step: ``rep(result) = rep(current) ∩ q⁻¹(A)``."""
-    cache = _PERF.caches["refine"] if _PERF.enabled else None
-    if cache is not None:
-        memo_key = (
-            current.cache_key(),
-            query,
-            answer,
-            tuple(alphabet),
-            normalize,
-        )
-        cached = cache.get(memo_key)
-        if cached is not _MISS:
-            return cached
-        alphabet = memo_key[3]  # the iterable was consumed into the key
     with _span("refine.step") as sp:
         with _span("refine.inverse") as sp_inv:
             inverse = inverse_incomplete(query, answer, alphabet)
@@ -86,8 +71,6 @@ def refine(
                     specializations=specializations,
                     result_size=size,
                 )
-        if cache is not None:
-            cache.put(memo_key, final)
         return final
 
 

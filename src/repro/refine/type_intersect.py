@@ -28,8 +28,6 @@ from typing import Dict, List, Optional, Tuple
 from ..core.multiplicity import Atom, Disjunction, Mult
 from ..core.treetype import TreeType
 from ..incomplete.incomplete_tree import IncompleteTree
-from ..perf.memo import MISS as _MISS
-from ..perf.state import STATE as _PERF
 
 
 def structural_weakening(tree_type: TreeType) -> IncompleteTree:
@@ -62,12 +60,6 @@ def intersect_with_tree_type(
     incomplete: IncompleteTree, tree_type: TreeType
 ) -> IncompleteTree:
     """Theorem 3.5: constrain an incomplete tree by a source tree type."""
-    cache = _PERF.caches["type_intersect"] if _PERF.enabled else None
-    if cache is not None:
-        memo_key = (incomplete.cache_key(), tree_type)
-        cached = cache.get(memo_key)
-        if cached is not _MISS:
-            return cached
     tau = incomplete.type
     node_ids = incomplete.data_node_ids()
 
@@ -97,12 +89,9 @@ def intersect_with_tree_type(
     from ..incomplete.conditional import ConditionalTreeType
 
     new_type = ConditionalTreeType(roots, mu, cond, sigma)
-    result = IncompleteTree(
+    return IncompleteTree(
         incomplete.data_nodes(), new_type, allows_empty=False
     ).normalized()
-    if cache is not None:
-        cache.put(memo_key, result)
-    return result
 
 
 def _conform(alpha: Atom, rho_atom: Atom, valid, eff_label) -> List[Atom]:

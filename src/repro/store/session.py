@@ -64,9 +64,33 @@ History = List[Tuple[PSQuery, DataTree]]
 #: toward the snapshot threshold).
 MUTATING_EVENTS = frozenset({"record", "reset", "compact"})
 
+#: Longest session name, in bytes of its file name: far above any key a
+#: client mints, and under the 255-byte file-name limit, so a long name
+#: is refused by this rule rather than by ``mkdir``.
+MAX_NAME_BYTES = 128
+
 
 class StoreError(ValueError):
     """A session operation cannot be carried out."""
+
+
+def check_session_name(name: str) -> str:
+    """``name``, if it can name a session directory; else :class:`StoreError`.
+
+    The one rule for session names and for cluster session keys, which
+    double as durable names (in memory too): non-empty, its own
+    basename, no leading dot, no control character, and at most
+    :data:`MAX_NAME_BYTES` bytes as a file name (``os.fsencode``).
+    """
+    if (
+        not name
+        or name != os.path.basename(name)
+        or name.startswith(".")
+        or any(ord(ch) < 32 or 127 <= ord(ch) < 160 for ch in name)
+        or len(os.fsencode(name)) > MAX_NAME_BYTES
+    ):
+        raise StoreError(f"invalid session name {name!r}")
+    return name
 
 
 class SessionLockedError(StoreError):
@@ -306,9 +330,7 @@ class SessionStore:
         return self._root
 
     def _session_dir(self, name: str) -> str:
-        if not name or name != os.path.basename(name) or name.startswith("."):
-            raise StoreError(f"invalid session name {name!r}")
-        return os.path.join(self._root, name)
+        return os.path.join(self._root, check_session_name(name))
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -774,6 +774,48 @@ class TestShardedWebhouse:
             cluster.close()
 
 
+class TestSharedFleetKnowledge:
+    #: the served ``fleet`` workload's eight specs
+    SPECS = (
+        "q1",
+        "q2",
+        "q3",
+        "q4",
+        "catalog/product/price[<100]",
+        "catalog/product/price[<300]",
+        "catalog/product/price[<500]",
+        "catalog/product/name",
+    )
+
+    def test_a_cold_fleet_pass_computes_a_verdict_per_distinct_history(self):
+        """The ``fleet`` workload's 33 sessions (``demo`` and 32 tenants,
+        each fetching two consecutive specs) hold 9 distinct histories.
+        Equal histories share one value, so a cold fleet-wide pass over
+        the 8 specs computes 9 x 8 verdicts, not 33 x 8."""
+        import repro.perf as perf
+        from repro.core.parsing import parse_query_spec
+        from repro.workloads.catalog import named_queries
+
+        queries = [parse_query_spec(spec, named=named_queries()) for spec in self.SPECS]
+        obs.enable(NullSink())
+        perf.clear_caches()
+        with perf.cached():
+            cluster, source = demo_cluster(1, products=16)
+            try:
+                for tenant in range(32):
+                    for step in range(2):
+                        query = queries[(tenant + step) % len(queries)]
+                        cluster.ask(f"t{tenant:03d}", source, query)
+                assert len(cluster) == 33
+                before = obs.metrics.value("webhouse.verdict_misses")
+                for query in queries:
+                    cluster.ask_all(query)
+                assert obs.metrics.value("webhouse.verdict_misses") - before == 72
+            finally:
+                cluster.close()
+                perf.clear_caches()
+
+
 # -- durability ------------------------------------------------------------------
 
 

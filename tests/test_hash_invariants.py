@@ -23,7 +23,6 @@ import repro.perf as perf
 from repro.core.conditions import Cond
 from repro.core.multiplicity import Atom, Disjunction, Mult
 from repro.incomplete.conditional import ConditionalTreeType
-from repro.incomplete.incomplete_tree import DataNode, IncompleteTree
 from repro.perf.intern import InternPool
 
 
@@ -147,24 +146,3 @@ class TestConditionalTreeTypeKeys:
         once = tau.normalized()
         assert "loop" not in once.symbols()
         assert once.normalized() == once
-
-
-class TestIncompleteTreeKeys:
-    def test_equal_incomplete_trees_equal_key(self):
-        def build():
-            return IncompleteTree(
-                {"r": DataNode("root", 0)}, _example_type(), allows_empty=False
-            )
-
-        a, b = build(), build()
-        assert a.cache_key() == b.cache_key()
-
-    def test_key_distinguishes_allows_empty(self):
-        base = IncompleteTree({}, _example_type(), allows_empty=False)
-        other = IncompleteTree({}, _example_type(), allows_empty=True)
-        assert base.cache_key() != other.cache_key()
-
-    def test_key_distinguishes_data_nodes(self):
-        a = IncompleteTree({"r": DataNode("root", 0)}, _example_type())
-        b = IncompleteTree({"r": DataNode("root", 1)}, _example_type())
-        assert a.cache_key() != b.cache_key()

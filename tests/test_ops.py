@@ -384,6 +384,32 @@ class TestOpsServer:
             assert not document.get("degraded") and not document.get("failed_shards")
         srv.cluster.close()
 
+    def test_over_nested_condition_is_400_at_the_edge(self):
+        """A condition nested one level over the bound is refused before
+        the engine sees it, keyed or fleet-wide, and no shard fails; at
+        the bound both answer."""
+        from repro.core.parsing import MAX_COND_NESTING
+
+        obs.enable(NullSink())
+        perf.enable_caches()
+        srv = OpsServer()
+
+        def ask(levels: int, scope: str):
+            cond = "(" * levels + "<1" + ")" * levels
+            spec = quote(f"catalog/product/price[{cond}]", safe="")
+            return drive_request(srv, f"/ask?q={spec}{scope}")
+
+        for scope in ("&session=demo", ""):
+            for levels in (MAX_COND_NESTING + 1, 400):
+                status, body = ask(levels, scope)
+                assert status == 400, body
+                assert "nests deeper" in json.loads(body)["error"]
+            status, body = ask(MAX_COND_NESTING, scope)
+            assert status == 200, body
+            document = json.loads(body)
+            assert not document.get("degraded") and not document.get("failed_shards")
+        srv.cluster.close()
+
     def test_ask_path_query(self, server):
         status, _, body = _get(
             server.url + "/ask?q=catalog/product/price%5B%3C300%5D"
@@ -522,6 +548,55 @@ class TestHostedSessions:
         webhouse.detach()
         assert webhouse.source_hint() == {}
 
+    def test_a_key_that_cannot_name_a_directory_is_400(self, tmp_path):
+        """Keys double as durable session names, so one rule refuses an
+        over-long key or one holding a control character before
+        admission: the shard's breaker never counts it, and a healthy
+        key on that shard still answers."""
+        import os
+
+        from repro.cluster import ShardedWebhouse
+        from repro.mediator.source import InMemorySource
+        from repro.store import StoreError
+        from repro.store.session import MAX_NAME_BYTES
+
+        obs.enable(NullSink())
+        perf.enable_caches()
+        cluster = ShardedWebhouse(
+            CATALOG_ALPHABET,
+            tree_type=catalog_type(),
+            shards=2,
+            store=SessionStore(str(tmp_path)),
+        )
+        srv = OpsServer(cluster, source=InMemorySource(generate_catalog(4, seed=4), catalog_type()))
+        try:
+            long_key = next(
+                key
+                for key in (f"{i}-" + "k" * 300 for i in range(100))
+                if cluster.router.route(key) == 0
+            )
+            healthy = next(f"ok{i}" for i in range(100) if cluster.router.route(f"ok{i}") == 0)
+            for _ in range(5):
+                status, body = drive_request(srv, f"/ask?q=q1&session={long_key}&mode=fetch")
+                assert status == 400, body
+            status, body = drive_request(srv, "/ask?q=q1&session=a%00b&mode=fetch")
+            assert status == 400, body
+            assert cluster.breaker(0).state == "closed"
+            for mode in ("&mode=fetch", ""):
+                status, body = drive_request(srv, f"/ask?q=q1&session={healthy}{mode}")
+                assert status == 200, body
+            assert cluster.breaker(0).state == "closed"
+        finally:
+            cluster.close()
+        store = SessionStore(str(tmp_path))
+        for name in (long_key, "a\x00b", "tab\there", "k" * (MAX_NAME_BYTES + 1)):
+            with pytest.raises(StoreError, match="invalid session name"):
+                store.create(name, CATALOG_ALPHABET)
+        store.create("é" * (MAX_NAME_BYTES // 2), CATALOG_ALPHABET).close()
+        with pytest.raises(StoreError, match="invalid session name"):
+            store.create("é" * (MAX_NAME_BYTES // 2 + 1), CATALOG_ALPHABET)
+        assert sorted(os.listdir(tmp_path)) == sorted([healthy, "é" * (MAX_NAME_BYTES // 2)])
+
     def test_serve_session_opens_a_durable_pool(self, tmp_path, monkeypatch, capsys):
         """``serve --session`` fronts the durable pool under ``--root``
         at any shard count: a keyed HTTP fetch journals, and the session
@@ -621,19 +696,18 @@ class TestPrometheusCacheSeries:
         """Counters come from the perf books, one family each, with obs
         on as under ``serve``."""
         obs.enable(obs.RingBufferSink())
+        perf.clear_caches()
         with perf.cached():
-            from repro.refine.refine import refine_sequence
             from repro.workloads.catalog import demo_catalog
 
-            doc = demo_catalog()
-            history = [(query1(), query1().evaluate(doc))]
-            refine_sequence(CATALOG_ALPHABET, history)
-            refine_sequence(CATALOG_ALPHABET, history)  # repeat -> cache hits
+            answer = query1().evaluate(demo_catalog())
+            for _ in range(2):  # the second session hits the first's value
+                Webhouse(CATALOG_ALPHABET).record(query1(), answer)
         text = obs.prometheus_text(obs.metrics, perf.cache_metrics())
         samples = validate_prometheus_text(text)  # raises on duplicates
-        assert samples["repro_cache_refine_hits_total"] >= 1
-        assert "repro_cache_refine_misses_total" in samples
-        assert "repro_cache_refine_size" in samples
+        assert samples["repro_cache_knowledge_hits_total"] >= 1
+        assert "repro_cache_knowledge_misses_total" in samples
+        assert "repro_cache_knowledge_size" in samples
 
     def test_gauges_are_exported(self):
         obs.STATE.metrics.set_gauge("ops.demo_gauge", 12.5)
@@ -643,17 +717,16 @@ class TestPrometheusCacheSeries:
 
 # -- one exposition path ---------------------------------------------------------
 
-#: The five perf memo tables, named here so a renamed table shows.
+#: The four perf memo tables, named here so a renamed table shows.
 _CACHE_TABLES = (
     "emptiness",
     "normalize",
     "matching",
-    "type_intersect",
-    "refine",
+    "knowledge",
 )
 
 #: Memo tables that were deleted: no series of theirs may come back.
-_DELETED_TABLES = ("query_incomplete", "minimize")
+_DELETED_TABLES = ("query_incomplete", "minimize", "refine", "type_intersect")
 
 
 def _families(text: str) -> dict:

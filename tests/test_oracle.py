@@ -45,6 +45,7 @@ from repro.incomplete.certainty import (
     possible_prefix,
 )
 from repro.incomplete.enumerate import enumerate_trees
+from repro.mediator.webhouse import Webhouse
 from repro.answering.query_incomplete import query_incomplete
 from repro.refine.minimize import merge_equivalent_symbols
 from repro.refine.refine import refine_sequence
@@ -293,6 +294,27 @@ class TestCacheEquivalence:
         )
         _assert_equiv(plain, cold, seed)
         _assert_equiv(plain, warm, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_webhouse_knowledge_and_verdicts(self, seed):
+        """A history recorded through a Webhouse: uncached, cached cold,
+        and cached warm, where the ``knowledge`` table hands the session
+        the value the cold run derived."""
+        tt, doc, history, _ = _instance(seed)
+        queries = [query for query, _ in history] + [
+            random_ps_query(tt, seed=seed + offset, max_depth=3) for offset in (200, 300)
+        ]
+
+        def run():
+            webhouse = Webhouse(sorted(tt.alphabet), tree_type=tt)
+            for query, answer in history:
+                webhouse.record(query, answer)
+            return webhouse.knowledge, [webhouse.answer_with_caveats(q) for q in queries]
+
+        plain, cold, warm = self._both(run)
+        for knowledge, verdicts in (cold, warm):
+            _assert_equiv(plain[0], knowledge, seed)
+            assert verdicts == plain[1], seed
 
     @pytest.mark.parametrize("seed", range(4))
     def test_query_incomplete(self, seed):

@@ -59,6 +59,22 @@ class TestParseCond:
         with pytest.raises(CondSyntaxError):
             parse_cond(bad)
 
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("!", ""), ("!(", ")")])
+    def test_nesting_over_the_bound_is_refused(self, opening, closing):
+        """Past the bound the parser refuses before it recurses further:
+        thousands of levels are a ``CondSyntaxError``, not a
+        ``RecursionError``."""
+        from repro.core.parsing import MAX_COND_NESTING
+
+        def nested(reps: int) -> str:
+            return opening * reps + "< 1" + closing * reps
+
+        at_bound = MAX_COND_NESTING // len(opening)  # each "!(" nests twice
+        assert parse_cond(nested(at_bound)).accepts(0)  # an even count of "!"
+        for reps in (at_bound + 1, 3000):
+            with pytest.raises(CondSyntaxError, match="nests deeper"):
+                parse_cond(nested(reps))
+
     def test_equivalence_with_builders(self):
         assert parse_cond("< 200 & != 100").equivalent(Cond.lt(200) & Cond.ne(100))
         assert parse_cond('!( = "a" | = "b")').equivalent(

@@ -14,13 +14,22 @@ Each probe is also asked twice with the perf caches on, so the second
 ask reads the verdict the knowledge value keeps, and both must equal
 Corollary 3.15 computed afresh on that value with the caches off.
 
+A second session observes another document, drawn with another catalog
+seed, and makes the same fetches with its writes under the perf caches,
+so its values come from the ``knowledge`` table whenever an equal
+derivation put one there.  The first session writes with the caches as
+the caller left them (off in tier-1), so its resume computes its own
+replay: with the table on, a resume in the same process is handed the
+live value.
+
 The property runs over generated catalogs and fetch histories.  About a
 third of the histories apply a growth remedy part-way, and some move to
 a store and resume from it.  A small sweep runs in every ``pytest``
 invocation; the full sweep is marked ``oracle`` and scaled by
 ``REPRO_ORACLE_INSTANCES``.  The mutation tests check the property
 itself: a Refine that drops one specialization must fail it, and so
-must a verdict table that survives a write.
+must a verdict table that survives a write, and a ``knowledge`` table
+key that drops the answers.
 """
 
 from __future__ import annotations
@@ -135,6 +144,8 @@ def violations(trial: Trial) -> List[str]:
     tree_type = catalog_type()
     document = generate_catalog(trial.products, seed=trial.seed)
     source = InMemorySource(document, tree_type)
+    other = generate_catalog(trial.products, seed=trial.seed + 1)
+    other_source = InMemorySource(other, tree_type)
     probes = [
         (spec, parse_query_spec(spec, named=NAMED))
         for spec in dict.fromkeys(SPECS + trial.fetches)
@@ -143,16 +154,23 @@ def violations(trial: Trial) -> List[str]:
     with tempfile.TemporaryDirectory() as root:
         store = SessionStore(root, snapshot_every=1)
         webhouse = Webhouse(CATALOG_ALPHABET, tree_type=tree_type)
+        with perf.cached():
+            shared = Webhouse(CATALOG_ALPHABET, tree_type=tree_type)
         try:
             for step, spec in enumerate(trial.fetches):
                 if trial.remedy is not None and step == trial.remedy_at:
                     webhouse.apply_remedy(trial.remedy)
+                    with perf.cached():
+                        shared.apply_remedy(trial.remedy)
                 if step == trial.resume_at:
                     webhouse.attach(
                         store.create("s", CATALOG_ALPHABET, tree_type=tree_type)
                     )
                 webhouse.ask(source, parse_query_spec(spec, named=NAMED))
                 problems += _check(webhouse, document, probes, f"step {step} ({spec})")
+                with perf.cached():
+                    shared.ask(other_source, parse_query_spec(spec, named=NAMED))
+                problems += _check(shared, other, probes, f"second session, step {step} ({spec})")
                 if step == trial.resume_at:
                     webhouse.detach()
                     webhouse = Webhouse.resume(store, "s")
@@ -169,6 +187,14 @@ def _assert_possible(trial: Trial) -> None:
 
 
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(autouse=True)
+def _empty_knowledge_table():
+    """Values derived under a mutant must not outlive its test."""
+    perf.clear_caches()
+    yield
+    perf.clear_caches()
 
 
 @given(trials(max_products=10))
@@ -236,6 +262,31 @@ def test_refine_dropping_a_specialization_is_caught(monkeypatch, fetches):
         assert any("not a possible world" in problem for problem in problems), (
             f"a Refine that drops a specialization went unnoticed on {fetches}"
         )
+
+
+@pytest.mark.parametrize("fetches", [("q1",), ("q2", "q1"), ("catalog/product/price[<300]",)])
+def test_a_derivation_key_that_drops_the_answers_is_caught(monkeypatch, fetches):
+    """Keyed by its queries alone, a record hands the second session the
+    value the first derived from other answers: its document is then no
+    possible world of what it holds.  Both sessions write through the
+    table here, the first one first."""
+    real = Webhouse._derive
+
+    def by_queries_alone(parent, transition, compute):
+        if isinstance(transition, tuple) and isinstance(transition[1], bool):  # a record
+            pairs, auto_minimize = transition
+            transition = (tuple(query for query, _answer in pairs), auto_minimize)
+        return real(parent, transition, compute)
+
+    monkeypatch.setattr(Webhouse, "_derive", staticmethod(by_queries_alone))
+    for products, seed in ((8, 3), (16, 11)):
+        perf.clear_caches()
+        with perf.cached():
+            problems = violations(Trial(products, seed, fetches))
+        assert any(
+            problem.startswith("second session") and "not a possible world" in problem
+            for problem in problems
+        ), f"a derivation key without the answers went unnoticed on {fetches}"
 
 
 def test_a_verdict_table_that_survives_a_write_is_caught(monkeypatch):

@@ -382,3 +382,180 @@ class TestVerdictTable:
         with perf.cached():
             assert wh.answer_with_caveats(query2(), taken) == before
             assert wh.answer_with_caveats(query2()) != before
+
+
+# -- equal derivations share one value --------------------------------------------
+
+
+@pytest.fixture()
+def knowledge_table():
+    """The perf caches on, from empty tables: a value can outlive the
+    test that derived it."""
+    import repro.perf as perf
+
+    perf.clear_caches()
+    perf.STATE.reset_stats()
+    with perf.cached():
+        yield perf.STATE.caches["knowledge"]
+    perf.clear_caches()
+
+
+def _counting_refine(monkeypatch):
+    """Count the Refine steps a Webhouse runs."""
+    import repro.mediator.webhouse as webhouse_module
+
+    calls = []
+    real = webhouse_module.refine
+    monkeypatch.setattr(
+        webhouse_module, "refine", lambda *args: calls.append(args[1]) or real(*args)
+    )
+    return calls
+
+
+def _fetch_q1_q2(webhouse: Webhouse, source: InMemorySource) -> Webhouse:
+    for query in (query1(), query2()):
+        webhouse.ask(source, query)  # each ask builds its own answer tree
+    return webhouse
+
+
+class TestSharedKnowledge:
+    def test_equal_histories_share_one_value(self, catalog_tt, knowledge_table, monkeypatch):
+        calls = _counting_refine(monkeypatch)
+        source = _seed3_source()
+        first = _fetch_q1_q2(Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt), source)
+        assert len(calls) == 2
+        second = _fetch_q1_q2(Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt), source)
+        assert len(calls) == 2
+        assert second.value is first.value
+        assert second.history == first.history
+        assert second.stats() == first.stats()
+
+    def test_different_answers_give_different_values(self, catalog_tt, knowledge_table):
+        documents = [generate_catalog(8, seed=seed) for seed in (3, 4)]
+        sessions = [
+            _fetch_q1_q2(
+                Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt),
+                InMemorySource(document, catalog_tt),
+            )
+            for document in documents
+        ]
+        assert sessions[0].value is not sessions[1].value
+        for webhouse, document in zip(sessions, documents):
+            assert webhouse.knowledge.contains(document)
+        assert not sessions[0].knowledge.contains(documents[1])
+
+    @pytest.mark.parametrize(
+        "write", ["record", "record_many", "compact", "conjunctive", "linear", "reset"]
+    )
+    def test_each_transition_shares(self, catalog_tt, knowledge_table, write):
+        source = _seed3_source()
+        values, misses = [], []
+        for _ in range(2):
+            misses.append(knowledge_table.misses)
+            webhouse = Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt)
+            webhouse.ask(source, query1())
+            if write == "record":
+                webhouse.record(query2(), source.ask(query2()))
+            elif write == "record_many":
+                webhouse.record_many([(q, source.ask(q)) for q in (query2(), query3())])
+            elif write == "compact":
+                webhouse.compact(["product"])
+            elif write == "reset":
+                webhouse.reset()
+            else:
+                webhouse.apply_remedy(write)
+            values.append(webhouse.value)
+        assert values[0] is values[1]
+        # the second session derived nothing: every lookup hit
+        assert knowledge_table.misses == misses[1] > misses[0]
+
+    def test_a_different_auto_minimize_does_not_share(self, catalog_tt, knowledge_table):
+        source = _seed3_source()
+        plain, minimizing = (
+            Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt, auto_minimize=flag)
+            for flag in (False, True)
+        )
+        assert plain.value is minimizing.value  # the bare type is shared
+        plain.ask(source, query1())
+        minimizing.ask(source, query1())
+        assert plain.value is not minimizing.value
+
+    def test_a_resume_replays_through_the_table(self, tmp_path, knowledge_table, monkeypatch):
+        calls = _counting_refine(monkeypatch)
+        source = _seed3_source()
+        live = _fetch_q1_q2(Webhouse(CATALOG_ALPHABET, tree_type=catalog_type()), source)
+        store = SessionStore(str(tmp_path))
+        durable = Webhouse(CATALOG_ALPHABET, tree_type=catalog_type())
+        durable.attach(store.create("s", CATALOG_ALPHABET, tree_type=catalog_type()))
+        _fetch_q1_q2(durable, source).detach()
+        resumed = Webhouse.resume(store, "s")
+        try:
+            assert resumed.value is live.value
+            assert len(calls) == 2
+        finally:
+            resumed.detach()
+
+    def test_uncached_shares_nothing(self, catalog_tt, knowledge_table, monkeypatch):
+        import repro.perf as perf
+
+        calls = _counting_refine(monkeypatch)
+        source = _seed3_source()
+        with perf.uncached():
+            first, second = (
+                _fetch_q1_q2(Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt), source)
+                for _ in range(2)
+            )
+            assert Webhouse(CATALOG_ALPHABET).value is not Webhouse(CATALOG_ALPHABET).value
+        assert first.value is not second.value
+        assert len(calls) == 4
+        assert len(knowledge_table) == 0
+        assert knowledge_table.hits + knowledge_table.misses == 0
+
+    def test_racing_sessions_each_hold_an_exact_value(self, catalog_tt, knowledge_table):
+        """Threads deriving the same values at once: racing misses put
+        equal values and the last put wins, so every session holds a
+        value whose history is its own and whose knowledge admits the
+        document."""
+        import sys
+        import threading
+
+        source = _seed3_source()
+        pairs = [(query, source.ask(query)) for query in (query1(), query2())]
+        sessions, errors = [], []
+
+        def onboard() -> None:
+            try:
+                for _ in range(5):
+                    webhouse = Webhouse(CATALOG_ALPHABET, tree_type=catalog_tt)
+                    for query, answer in pairs:
+                        webhouse.record(query, answer)
+                    sessions.append(webhouse)
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=onboard) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(sessions) == 40
+        for webhouse in sessions:
+            assert webhouse.history == tuple(pairs)
+            assert webhouse.knowledge.contains(source.document())
+        assert len({id(webhouse.value) for webhouse in sessions}) < len(sessions)
+
+    def test_table_never_exceeds_its_bound(self, knowledge_table):
+        source = _seed3_source()
+        sizes = []
+        for limit in range(knowledge_table.capacity + 16):
+            query = _price_query(limit)
+            Webhouse(CATALOG_ALPHABET).record(query, source.ask(query))
+            sizes.append(len(knowledge_table))
+        assert max(sizes) == knowledge_table.capacity
+        assert knowledge_table.evictions == 17  # the bare type and 144 records
